@@ -158,8 +158,7 @@ PipelineReport run_pipelined(Stream& stream,
         } else {
           // Exponential backoff on the server's hint, jittered so a herd
           // of rejected clients does not retry in lockstep (the policy
-          // lives in util/backoff.hpp, shared with connect_socket and the
-          // cluster router's failover path).
+          // lives in util/backoff.hpp, shared with connect_socket).
           const auto delay = std::chrono::milliseconds(
               jittered_backoff_ms(attempts[logical], retry_ms, rng));
           retries.emplace_back(Clock::now() + delay, logical);

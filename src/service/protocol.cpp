@@ -121,15 +121,6 @@ bool scan_u64(const std::string& text, std::size_t& pos, std::uint64_t* out) {
   return true;
 }
 
-/// Matches ` <key>=` at `pos` and scans the digit run after it.
-bool scan_field(const std::string& text, std::size_t& pos, const char* key,
-                std::uint64_t* out) {
-  const std::string want = std::string(" ") + key + "=";
-  if (text.compare(pos, want.size(), want) != 0) return false;
-  pos += want.size();
-  return scan_u64(text, pos, out);
-}
-
 std::string format_gops(double gops) {
   std::ostringstream os;
   os << std::fixed << std::setprecision(2) << gops;
@@ -362,41 +353,6 @@ bool parse_unordered_line(const std::string& line, std::uint64_t* id,
   if (pos >= line.size() || line[pos] != ' ') return false;
   *id = parsed_id;
   *rest = line.substr(pos + 1);
-  return true;
-}
-
-bool parse_stats_line(const std::string& line, CacheStats* out) {
-  if (line.rfind("stats", 0) != 0) return false;
-  std::size_t pos = 5;
-  std::uint64_t hits = 0, misses = 0, evictions = 0, entries = 0,
-                inflight = 0;
-  if (!scan_field(line, pos, "hits", &hits) ||
-      !scan_field(line, pos, "misses", &misses) ||
-      !scan_field(line, pos, "evictions", &evictions) ||
-      !scan_field(line, pos, "entries", &entries) ||
-      !scan_field(line, pos, "inflight", &inflight)) {
-    return false;
-  }
-  CacheStats parsed;
-  parsed.hits = hits;
-  parsed.misses = misses;
-  parsed.evictions = evictions;
-  parsed.entries = static_cast<std::size_t>(entries);
-  parsed.in_flight = inflight;
-  if (pos != line.size()) {
-    // The admission trio is all-or-nothing on the wire.
-    std::uint64_t queued = 0, rejected = 0, peak = 0;
-    if (!scan_field(line, pos, "queued", &queued) ||
-        !scan_field(line, pos, "rejected", &rejected) ||
-        !scan_field(line, pos, "peak_queue", &peak) || pos != line.size()) {
-      return false;
-    }
-    parsed.queued = queued;
-    parsed.rejected = rejected;
-    parsed.peak_queue = peak;
-    parsed.max_queue = 1;  // presence flag - the bound is not wire data
-  }
-  *out = parsed;
   return true;
 }
 

@@ -102,6 +102,7 @@
 // the outcome line - infeasible points are data, not protocol errors.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -137,6 +138,14 @@ struct Request {
 /// frame size would let one malformed line commit the session to
 /// swallowing gigabytes as "frame content".
 inline constexpr int kMaxFrameLines = 4096;
+
+/// Longest request line a socket session reads, in bytes (without the
+/// '\n'). Far above any valid line (a `run` line with every key set is a
+/// few hundred bytes); a peer that sends more - or never sends '\n' at
+/// all - gets one `protocol-error` reply in that line's slot and the
+/// connection closes, so a session buffers at most this plus one recv
+/// chunk of any peer's input.
+inline constexpr std::size_t kMaxLineBytes = 64 * 1024;
 
 /// Result of parsing one protocol line.
 struct ParsedLine {
@@ -213,12 +222,12 @@ struct ParsedLine {
 [[nodiscard]] std::string format_unordered_line(std::uint64_t id,
                                                 const std::string& line);
 
-/// Reply parsers - the exact inverses of the formatters above, shared by
-/// everything that consumes the server side of the wire (the pipelined
-/// client, the cluster router). Each matches its line shape strictly
-/// (digit runs, exact separators, nothing trailing) and returns false
-/// without touching the outputs on any mismatch - a reply that merely
-/// *starts* like a busy line is some other line.
+/// Reply parsers - the exact inverses of the formatters above, for the
+/// client side of the wire (PipelineClient's reply demultiplexer). Each
+/// matches its line shape strictly (digit runs, exact separators, nothing
+/// trailing) and returns false without touching the outputs on any
+/// mismatch - a reply that merely *starts* like a busy line is some other
+/// line.
 
 /// Parses `busy id=<n> retry_ms=<m>` (format_busy_line's output) exactly.
 [[nodiscard]] bool parse_busy_line(const std::string& line, std::uint64_t* id,
@@ -228,15 +237,5 @@ struct ParsedLine {
 /// output); on success `*rest` is the payload with the prefix stripped.
 [[nodiscard]] bool parse_unordered_line(const std::string& line,
                                         std::uint64_t* id, std::string* rest);
-
-/// Parses a `stats ...` reply line (format_stats_line's output) into
-/// counters. The wire does not carry the queue bound itself, only whether
-/// the admission trio was echoed - so on success `out->max_queue` is 1
-/// when the trio was present and 0 when it was absent (a presence flag,
-/// not the configured bound). That convention makes the round trip
-/// byte-stable: format_stats_line(parsed) reproduces the input line, and
-/// summing parsed stats across shards keeps the trio iff any shard had a
-/// bounded queue.
-[[nodiscard]] bool parse_stats_line(const std::string& line, CacheStats* out);
 
 }  // namespace edea::service

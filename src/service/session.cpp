@@ -420,6 +420,18 @@ SessionStats Session::serve(Stream& stream) {
     }
   }
 
+  // The stream ended on an over-long line: answer it in its slot like any
+  // malformed line. Nothing after it was read, so the session ends here
+  // and the transport closes the connection.
+  if (stream.line_too_long()) {
+    const std::uint64_t id = ++stats.requests;
+    ++stats.protocol_errors;
+    std::string line = "protocol-error line exceeds " +
+                       std::to_string(kMaxLineBytes) + " bytes";
+    if (unordered) line = format_unordered_line(id, line);
+    push_text(id, std::move(line));
+  }
+
   // EOF inside a frame: the peer broke its own framing promise - say so
   // in a final slot instead of silently swallowing the truncation.
   if (in_frame) {

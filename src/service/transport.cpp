@@ -14,6 +14,7 @@
 #include <ostream>
 #include <utility>
 
+#include "service/protocol.hpp"
 #include "util/backoff.hpp"
 #include "util/check.hpp"
 
@@ -52,10 +53,13 @@ void StdioTransport::serve(const std::function<void(Stream&)>& handler) {
 
 namespace {
 
-/// Stream over a connected TCP socket. Owns the fd.
+/// Stream over a connected TCP socket. Owns the fd. Reads are bounded:
+/// a line longer than `max_line_bytes` ends the stream (line_too_long()),
+/// so the read buffer never holds more than the cap plus one recv chunk.
 class SocketStream : public Stream {
  public:
-  explicit SocketStream(int fd) : fd_(fd) {
+  SocketStream(int fd, std::size_t max_line_bytes)
+      : fd_(fd), max_line_bytes_(max_line_bytes) {
     // Nagle holds back small segments while earlier ones are unACKed -
     // exactly the shape of a pipelined session's steady state (single
     // refill requests, single streamed replies), where it serializes the
@@ -75,20 +79,31 @@ class SocketStream : public Stream {
   SocketStream& operator=(const SocketStream&) = delete;
 
   bool read_line(std::string& line) override {
+    if (line_too_long_) return false;
     for (;;) {
-      const std::size_t newline = buffer_.find('\n');
+      // Only bytes that arrived since the last call are scanned; a line
+      // is consumed by moving start_, not by erasing it.
+      const std::size_t newline = buffer_.find('\n', scan_);
       if (newline != std::string::npos) {
-        line.assign(buffer_, 0, newline);
-        buffer_.erase(0, newline + 1);
+        if (newline - start_ > max_line_bytes_) return refuse_line();
+        line.assign(buffer_, start_, newline - start_);
+        start_ = scan_ = newline + 1;
         return true;
       }
+      scan_ = buffer_.size();
+      if (buffer_.size() - start_ > max_line_bytes_) return refuse_line();
       if (peer_closed_) {
         // A final line without a trailing '\n' is still a line.
-        if (buffer_.empty()) return false;
-        line = std::move(buffer_);
-        buffer_.clear();
+        if (start_ == buffer_.size()) return false;
+        line.assign(buffer_, start_);
+        start_ = scan_ = buffer_.size();
         return true;
       }
+      // Compact once per recv, not once per line: every line consumed
+      // since the last recv is dropped in one move.
+      buffer_.erase(0, start_);
+      scan_ -= start_;
+      start_ = 0;
       char chunk[4096];
       const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
       if (n > 0) {
@@ -100,6 +115,8 @@ class SocketStream : public Stream {
       }
     }
   }
+
+  bool line_too_long() const override { return line_too_long_; }
 
   bool write_line(const std::string& line) override {
     // The framing buffer is a member, not a local: one session writes
@@ -142,10 +159,24 @@ class SocketStream : public Stream {
     return true;
   }
 
+  /// Ends the stream on an over-long line; the rest of the peer's input
+  /// is never read.
+  bool refuse_line() {
+    line_too_long_ = true;
+    buffer_.clear();
+    buffer_.shrink_to_fit();
+    start_ = scan_ = 0;
+    return false;
+  }
+
   int fd_;
+  std::size_t max_line_bytes_;
   std::string buffer_;
+  std::size_t start_ = 0;  ///< first unconsumed byte of buffer_
+  std::size_t scan_ = 0;   ///< buffer_[start_, scan_) holds no '\n'
   std::string write_buffer_;
   bool peer_closed_ = false;
+  bool line_too_long_ = false;
 };
 
 [[noreturn]] void throw_errno(const std::string& what) {
@@ -222,7 +253,7 @@ void SocketTransport::serve(const std::function<void(Stream&)>& handler) {
     }
     ++accepted;
     sessions.emplace_back([fd, &handler] {
-      SocketStream stream(fd);
+      SocketStream stream(fd, kMaxLineBytes);
       try {
         handler(stream);
       } catch (...) {
@@ -262,7 +293,10 @@ std::unique_ptr<Stream> connect_socket(const std::string& host,
     if (fd < 0) throw_errno("socket()");
     if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
                   sizeof(addr)) == 0) {
-      return std::make_unique<SocketStream>(fd);
+      // A reply echoes at most one request line behind a short prefix
+      // (protocol errors quote the offending token), so twice the
+      // request cap admits every reply a server can send.
+      return std::make_unique<SocketStream>(fd, 2 * kMaxLineBytes);
     }
     const int saved = errno;
     ::close(fd);

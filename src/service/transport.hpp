@@ -50,8 +50,16 @@ class Stream {
   virtual ~Stream() = default;
 
   /// Reads the next line (without its '\n'). Returns false on EOF or a
-  /// broken connection; never throws.
+  /// broken connection - or on a line longer than the stream's cap, see
+  /// line_too_long(); never throws.
   [[nodiscard]] virtual bool read_line(std::string& line) = 0;
+
+  /// True once read_line has returned false because the peer sent a line
+  /// longer than the stream buffers (a server's socket connections:
+  /// kMaxLineBytes, see protocol.hpp) instead of ending the stream. Nothing more is read;
+  /// the session answers that line with a protocol error and ends, which
+  /// closes the connection. Streams without a cap never set it.
+  [[nodiscard]] virtual bool line_too_long() const { return false; }
 
   /// Writes one line (appends '\n') and flushes it to the peer. Returns
   /// false on a broken connection; never throws.

@@ -1,9 +1,9 @@
 // backoff.hpp - jittered exponential backoff for retry loops.
 //
-// Every retry path in the repository (pipelined-client busy retries, socket
-// connect retries, cluster-router failover resends) computes its delay here
-// so the policy is uniform and testable in one place: the nominal delay
-// doubles per attempt up to a cap, and a multiplicative jitter drawn from a
+// Both retry paths in the repository (PipelineClient's busy retries and
+// connect_socket's connect retries) compute their delay here so the policy
+// is uniform and testable in one place: the nominal delay doubles per
+// attempt up to a cap, and a multiplicative jitter drawn from a
 // caller-owned Rng decorrelates concurrent retriers so they do not stampede
 // a recovering server in lockstep. Determinism follows from the Rng: a
 // seeded generator replays the exact same delay sequence.

@@ -1,8 +1,8 @@
 // backoff_test - the shared jittered exponential backoff schedule
-// (util/backoff.hpp). Every retry loop in the tree (pipelined-client busy
-// retries, connect_socket, cluster-router failover) delegates here, so the
-// properties pinned below - exponential growth to a cap, jitter bounds, and
-// seed determinism - are the retry behavior of the whole service tier.
+// (util/backoff.hpp). Both retry loops in the tree (PipelineClient's busy
+// retries and connect_socket) delegate here, so the properties pinned
+// below - exponential growth to a cap, jitter bounds, and seed
+// determinism - are the retry behavior of the whole service tier.
 #include "util/backoff.hpp"
 
 #include <gtest/gtest.h>
@@ -55,8 +55,8 @@ TEST(BackoffTest, DelayIsAtLeastOneMillisecondEvenForZeroBase) {
 }
 
 TEST(BackoffTest, SameSeedReplaysTheSameSchedule) {
-  // Determinism is what makes router failover tests reproducible: the
-  // whole delay sequence is a pure function of the seed.
+  // Determinism is what makes busy-retry tests reproducible: the whole
+  // delay sequence is a pure function of the seed.
   Rng rng_a(0xfeedull), rng_b(0xfeedull), rng_c(0xbeefull);
   bool any_difference = false;
   for (int attempt = 1; attempt <= 32; ++attempt) {

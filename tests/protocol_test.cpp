@@ -598,47 +598,6 @@ TEST(ProtocolParseTest, UnorderedLineParsesStrictlyAsThePrefixInverse) {
   EXPECT_EQ(rest, "x");
 }
 
-TEST(ProtocolParseTest, StatsLineParsesBothShapesAsTheFormatterInverse) {
-  CacheStats stats;
-  ASSERT_TRUE(parse_stats_line(
-      "stats hits=3 misses=9 evictions=1 entries=8 inflight=2", &stats));
-  EXPECT_EQ(stats.hits, 3u);
-  EXPECT_EQ(stats.misses, 9u);
-  EXPECT_EQ(stats.evictions, 1u);
-  EXPECT_EQ(stats.entries, 8u);
-  EXPECT_EQ(stats.in_flight, 2u);
-  EXPECT_EQ(stats.max_queue, 0u) << "no admission trio, no bound";
-  EXPECT_EQ(stats.queued, 0u);
-
-  ASSERT_TRUE(parse_stats_line(
-      "stats hits=3 misses=9 evictions=1 entries=8 inflight=2 "
-      "queued=1 rejected=37 peak_queue=2",
-      &stats));
-  EXPECT_EQ(stats.queued, 1u);
-  EXPECT_EQ(stats.rejected, 37u);
-  EXPECT_EQ(stats.peak_queue, 2u);
-  // The wire does not carry the bound itself; max_queue=1 is the parser's
-  // presence flag, so a format -> parse -> format round trip keeps the
-  // admission trio (format emits it whenever max_queue != 0).
-  EXPECT_EQ(stats.max_queue, 1u);
-  EXPECT_EQ(format_stats_line(stats),
-            "stats hits=3 misses=9 evictions=1 entries=8 inflight=2 "
-            "queued=1 rejected=37 peak_queue=2");
-
-  for (const char* bad :
-       {"stats", "stats hits=3", "stat hits=3 misses=9 evictions=1 entries=8",
-        "stats hits=3 misses=9 evictions=1 entries=8 inflight=2 queued=1",
-        "stats hits=3 misses=9 evictions=1 entries=8 inflight=2 queued=1 "
-        "rejected=2",
-        "stats hits=3 misses=9 evictions=1 entries=8 inflight=2 extra=1",
-        "stats hits=-1 misses=9 evictions=1 entries=8 inflight=2",
-        "stats hits=3 misses=9 evictions=1 entries=8 inflight=2 ",
-        "stats misses=9 hits=3 evictions=1 entries=8 inflight=2"}) {
-    SCOPED_TRACE(bad);
-    EXPECT_FALSE(parse_stats_line(bad, &stats));
-  }
-}
-
 TEST(ProtocolRoundTripTest, ReplyParsersInvertTheFormattersForAnyCounts) {
   // Round-trip a spread of values through each formatter/parser pair.
   for (const std::uint64_t id : {1ull, 999ull, 1ull << 40}) {

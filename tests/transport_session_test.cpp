@@ -7,6 +7,12 @@
 #include "service/session.hpp"
 #include "service/transport.hpp"
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -224,6 +230,144 @@ TEST(SocketTransportTest, LoopbackSessionIsBitIdenticalToStdio) {
   server.join();
 
   EXPECT_EQ(responses, expected);
+}
+
+/// A raw loopback TCP client: the tests below need to send bytes that no
+/// Stream would (a line without its '\n'). Reads time out after 10 s so
+/// a server that waits for more input fails the test instead of hanging.
+int raw_connect(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  const timeval timeout{10, 0};
+  (void)::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  EXPECT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+  return fd;
+}
+
+/// Sends as much of `bytes` as the peer accepts (stops on a reset).
+void raw_send(int fd, const std::string& bytes) {
+  std::size_t sent = 0;
+  while (sent < bytes.size()) {
+    const ssize_t n = ::send(fd, bytes.data() + sent, bytes.size() - sent,
+                             MSG_NOSIGNAL);
+    if (n <= 0) return;
+    sent += static_cast<std::size_t>(n);
+  }
+}
+
+/// Everything the peer sends until it closes (or resets) the connection.
+std::string raw_read_to_end(int fd) {
+  std::string received;
+  char chunk[4096];
+  ssize_t n;
+  while ((n = ::recv(fd, chunk, sizeof(chunk), 0)) > 0) {
+    received.append(chunk, static_cast<std::size_t>(n));
+  }
+  return received;
+}
+
+/// One session on a fresh service over an ephemeral port.
+class OneSessionServer {
+ public:
+  OneSessionServer() : transport_(options()) {
+    thread_ = std::thread([this] {
+      transport_.serve([this](Stream& stream) {
+        stats_ = Session(svc_, catalog_).serve(stream);
+      });
+    });
+  }
+  ~OneSessionServer() { join(); }
+
+  [[nodiscard]] std::uint16_t port() const { return transport_.port(); }
+  /// Waits for the session to end; its stats are valid afterwards.
+  const SessionStats& join() {
+    if (thread_.joinable()) thread_.join();
+    return stats_;
+  }
+
+ private:
+  static SocketTransportOptions options() {
+    SocketTransportOptions options;
+    options.max_sessions = 1;
+    return options;
+  }
+
+  SimulationService svc_;
+  WorkloadCatalog catalog_;
+  SocketTransport transport_;
+  SessionStats stats_;
+  std::thread thread_;
+};
+
+const std::string kLineTooLong = "protocol-error line exceeds " +
+                                 std::to_string(kMaxLineBytes) + " bytes\n";
+
+TEST(SocketTransportTest, MebibyteLineWithoutNewlineGetsAnErrorThenEof) {
+  OneSessionServer server;
+  const int fd = raw_connect(server.port());
+  // The writer may block once the server stops reading; the server's
+  // close is what unblocks it.
+  std::thread writer([fd] {
+    raw_send(fd, "stats\n" + std::string(std::size_t{1} << 20, 'x'));
+  });
+  const std::string received = raw_read_to_end(fd);
+  writer.join();
+  ::close(fd);
+
+  // The preceding request is answered first; the over-long line gets
+  // exactly one protocol error in its own slot, then the connection ends.
+  EXPECT_EQ(received,
+            "stats hits=0 misses=0 evictions=0 entries=0 inflight=0\n" +
+                kLineTooLong);
+  const SessionStats& stats = server.join();
+  EXPECT_EQ(stats.requests, 2u);
+  EXPECT_EQ(stats.protocol_errors, 1u);
+}
+
+TEST(SocketTransportTest, LineOneByteOverTheCapIsRefusedWithoutWaiting) {
+  // The peer keeps the connection open and sends nothing more: the
+  // server must decide from the first kMaxLineBytes + 1 bytes, never
+  // buffering toward a newline that may not come.
+  OneSessionServer server;
+  const int fd = raw_connect(server.port());
+  raw_send(fd, std::string(kMaxLineBytes + 1, 'x'));
+  const std::string received = raw_read_to_end(fd);
+  ::close(fd);
+  EXPECT_EQ(received, kLineTooLong);
+  EXPECT_EQ(server.join().protocol_errors, 1u);
+}
+
+TEST(SocketTransportTest, LineAtTheCapIsStillServed) {
+  // A run line padded with blanks to exactly kMaxLineBytes bytes parses
+  // like the unpadded line, so its reply must equal the stdio reference.
+  const std::string request = "run mobilenet-0.25x seed=3 td=16";
+  SimulationService stdio_svc;
+  WorkloadCatalog stdio_catalog;
+  const std::vector<std::string> expected =
+      serve_stdio(stdio_svc, stdio_catalog, {request, "stats"});
+
+  OneSessionServer server;
+  std::vector<std::string> responses;
+  {
+    std::unique_ptr<Stream> client =
+        connect_socket("127.0.0.1", server.port(), /*retry_ms=*/5000);
+    std::string padded = request;
+    padded.resize(kMaxLineBytes, ' ');
+    ASSERT_TRUE(client->write_line(padded));
+    ASSERT_TRUE(client->write_line("stats"));
+    client->close_write();
+    std::string line;
+    while (client->read_line(line)) responses.push_back(line);
+    EXPECT_FALSE(client->line_too_long());
+  }
+  EXPECT_EQ(responses, expected);
+  EXPECT_EQ(server.join().protocol_errors, 0u);
 }
 
 TEST(SocketTransportTest, ConcurrentSessionsServeDisjointClientsCorrectly) {
