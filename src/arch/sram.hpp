@@ -51,29 +51,43 @@ class SramBuffer {
   /// Writes `size` bytes at `addr`. Counts one write access per call (the
   /// silicon writes a word or burst per port transaction, not per byte).
   void write(std::int64_t addr, const void* src, std::int64_t size) {
-    bounds_check(addr, size, "write");
+    bounds_check<std::uint8_t>(addr, size, "write");
     std::memcpy(bytes() + addr, src, static_cast<std::size_t>(size));
     counter_.record_write(size);
   }
 
   /// Reads `size` bytes at `addr` into dst. Counts one read access.
   void read(std::int64_t addr, void* dst, std::int64_t size) {
-    bounds_check(addr, size, "read");
+    bounds_check<std::uint8_t>(addr, size, "read");
     std::memcpy(dst, bytes() + addr, static_cast<std::size_t>(size));
     counter_.record_read(size);
   }
 
-  /// Typed single-element helpers used by the engines.
+  /// Writes `count` consecutive T elements starting at element `index`:
+  /// one bounds check and one copy for the whole run (a Td-wide vector
+  /// moved in one port transaction). Counts `count` element writes of
+  /// sizeof(T) bytes - exactly what `count` single-element writes record,
+  /// so the run granularity never shows in the counters.
   template <typename T>
-  void store(std::int64_t index, T value) {
-    write(index * static_cast<std::int64_t>(sizeof(T)), &value, sizeof(T));
+  void write_run(std::int64_t index, const T* src, std::int64_t count) {
+    bounds_check<T>(index, count, "write");
+    if (count == 0) return;  // src may be null (an empty vector's data())
+    const std::int64_t size = count * std::int64_t{sizeof(T)};
+    std::memcpy(bytes() + index * std::int64_t{sizeof(T)}, src,
+                static_cast<std::size_t>(size));
+    counter_.record_write(size, count);
   }
 
+  /// Reads `count` consecutive T elements starting at element `index`
+  /// into dst; the read-side twin of write_run (same counting contract).
   template <typename T>
-  [[nodiscard]] T load(std::int64_t index) {
-    T value;
-    read(index * static_cast<std::int64_t>(sizeof(T)), &value, sizeof(T));
-    return value;
+  void read_run(std::int64_t index, T* dst, std::int64_t count) {
+    bounds_check<T>(index, count, "read");
+    if (count == 0) return;
+    const std::int64_t size = count * std::int64_t{sizeof(T)};
+    std::memcpy(dst, bytes() + index * std::int64_t{sizeof(T)},
+                static_cast<std::size_t>(size));
+    counter_.record_read(size, count);
   }
 
   [[nodiscard]] const AccessCounter& counter() const noexcept {
@@ -97,14 +111,26 @@ class SramBuffer {
     return external_ != nullptr ? external_ : storage_.data();
   }
 
-  void bounds_check(std::int64_t addr, std::int64_t size,
+  /// Throws unless elements [index, index + count) of width sizeof(T)
+  /// lie inside the buffer. Compared in element units against the
+  /// remaining room, so no intermediate sum or product can overflow.
+  template <typename T>
+  void bounds_check(std::int64_t index, std::int64_t count,
                     const char* op) const {
-    if (addr < 0 || size < 0 || addr + size > capacity_) {
-      throw ResourceError("SRAM '" + name_ + "': out-of-range " + op +
-                          " at addr " + std::to_string(addr) + " size " +
-                          std::to_string(size) + " (capacity " +
-                          std::to_string(capacity_) + ")");
+    constexpr std::int64_t kWidth = sizeof(T);
+    const std::int64_t slots = capacity_ / kWidth;
+    if (index < 0 || count < 0 || count > slots - index) [[unlikely]] {
+      out_of_range(op, index, count, kWidth);
     }
+  }
+
+  [[noreturn]] void out_of_range(const char* op, std::int64_t index,
+                                 std::int64_t count,
+                                 std::int64_t width) const {
+    throw ResourceError("SRAM '" + name_ + "': out-of-range " + op + " of " +
+                        std::to_string(count) + " x " + std::to_string(width) +
+                        "-byte elements at element " + std::to_string(index) +
+                        " (capacity " + std::to_string(capacity_) + " bytes)");
   }
 
   std::string name_;

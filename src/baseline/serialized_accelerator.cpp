@@ -184,6 +184,9 @@ SerializedLayerResult SerializedDscAccelerator::run_layer_into(
   const int mult = spec.depth_multiplier;
 
   // ---- Phase 1: depthwise convolution over the whole layer. ----
+  // Host staging, reused across steps.
+  core::DwcWindow window;
+  core::DwcStepOutput out;
   for (const BufferTile& tile : tiler.tiles()) {
     for (const ChannelSlice& slice : tiler.slices()) {
       // Ifmap + weight load (counted identically to EDEA's pass loads):
@@ -204,11 +207,9 @@ SerializedLayerResult SerializedDscAccelerator::run_layer_into(
       std::vector<std::int8_t> w(static_cast<std::size_t>(w_elems));
       for (int i = 0; i < config_.kernel; ++i) {
         for (int j = 0; j < config_.kernel; ++j) {
-          for (int ch = 0; ch < slice.channels; ++ch) {
-            w[static_cast<std::size_t>(
-                (i * config_.kernel + j) * slice.channels + ch)] =
-                layer.dwc_weights(i, j, slice.channel0 + ch);
-          }
+          std::copy_n(&layer.dwc_weights(i, j, slice.channel0),
+                      slice.channels,
+                      w.begin() + (i * config_.kernel + j) * slice.channels);
         }
       }
       dwc_.load_weights(w, slice.channels);
@@ -229,7 +230,6 @@ SerializedLayerResult SerializedDscAccelerator::run_layer_into(
           const int out_r0 = tile.out_row0 + sy * config_.tn;
           const int out_c0 = tile.out_col0 + sx * config_.tm;
 
-          core::DwcWindow window;
           window.extent =
               config_.dwc_window_extent(spec.stride, spec.dilation);
           window.channels = slice.channels;
@@ -246,19 +246,23 @@ SerializedLayerResult SerializedDscAccelerator::run_layer_into(
               if (gr < 0 || gr >= image_rows || gc < 0 || gc >= image_cols) {
                 continue;
               }
-              for (int ch = 0; ch < window.channels; ++ch) {
-                // Lane ch carries intermediate channel slice.channel0 + ch,
-                // whose data is input channel (slice.channel0 + ch) / mult.
-                window.values[static_cast<std::size_t>(
-                    (r * window.extent + c) * window.channels + ch)] =
-                    input(gr, gc, (slice.channel0 + ch) / mult);
+              // Lane ch carries intermediate channel slice.channel0 + ch,
+              // whose data is input channel (slice.channel0 + ch) / mult.
+              std::int8_t* lanes = window.values.data() +
+                                   (r * window.extent + c) * window.channels;
+              if (mult == 1) {
+                std::copy_n(&input(gr, gc, slice.channel0), window.channels,
+                            lanes);
+              } else {
+                for (int ch = 0; ch < window.channels; ++ch) {
+                  lanes[ch] = input(gr, gc, (slice.channel0 + ch) / mult);
+                }
               }
             }
           }
 
-          const core::DwcStepOutput out =
-              dwc_.step(window, spec.stride, spec.dilation,
-                        spec.depth_multiplier);
+          dwc_.step_into(window, spec.stride, spec.dilation,
+                         spec.depth_multiplier, out);
           result.dwc_phase_cycles += 1;
           result.common.timing.dwc_active_cycles += 1;
 
@@ -272,12 +276,10 @@ SerializedLayerResult SerializedDscAccelerator::run_layer_into(
             for (int c = 0; c < out.cols; ++c) {
               const int gc = out_c0 + c;
               if (gc >= tile.out_col0 + tile.out_cols || gc >= M) continue;
-              for (int ch = 0; ch < slice.channels; ++ch) {
-                intermediate(gr, gc, slice.channel0 + ch) =
-                    tile_int8[static_cast<std::size_t>(
-                        (r * out.cols + c) * slice.channels + ch)];
-                ++result.intermediate_external_writes;
-              }
+              std::copy_n(
+                  tile_int8.begin() + (r * out.cols + c) * slice.channels,
+                  slice.channels, &intermediate(gr, gc, slice.channel0));
+              result.intermediate_external_writes += slice.channels;
             }
           }
         }
@@ -289,6 +291,10 @@ SerializedLayerResult SerializedDscAccelerator::run_layer_into(
   result.common.pwc_input_zero_fraction = intermediate.zero_fraction();
 
   // ---- Phase 2: pointwise convolution, reading the intermediate back. ----
+  const std::vector<KernelGroup>& groups = tiler.kernel_groups();
+  std::vector<core::PwcStepInput> group_inputs(groups.size());
+  std::vector<std::int8_t> acts;  // one step's intermediate tile
+  core::PwcStepOutput pout;
   for (const BufferTile& tile : tiler.tiles()) {
     const auto tile_entries =
         static_cast<std::size_t>(tile.out_rows) *
@@ -302,8 +308,27 @@ SerializedLayerResult SerializedDscAccelerator::run_layer_into(
       result.common.external.record_read(
           TrafficClass::kWeight, std::int64_t{K} * slice.channels);
 
+      // Each kernel group's weight block is fixed for the whole pass:
+      // gathered once here, one run per kernel.
+      for (std::size_t g = 0; g < groups.size(); ++g) {
+        core::PwcStepInput& pin = group_inputs[g];
+        pin.rows = config_.tn;
+        pin.cols = config_.tm;
+        pin.channels = slice.channels;
+        pin.kernels = groups[g].kernels;
+        pin.weights.resize(
+            static_cast<std::size_t>(pin.kernels * slice.channels));
+        for (int kk = 0; kk < pin.kernels; ++kk) {
+          std::copy_n(
+              &layer.pwc_weights(groups[g].kernel0 + kk, slice.channel0),
+              slice.channels, pin.weights.begin() + kk * slice.channels);
+        }
+      }
+
       const int steps_r = (tile.out_rows + config_.tn - 1) / config_.tn;
       const int steps_c = (tile.out_cols + config_.tm - 1) / config_.tm;
+      acts.resize(
+          static_cast<std::size_t>(config_.tn * config_.tm * slice.channels));
       for (int sy = 0; sy < steps_r; ++sy) {
         for (int sx = 0; sx < steps_c; ++sx) {
           const int out_r0 = tile.out_row0 + sy * config_.tn;
@@ -311,43 +336,27 @@ SerializedLayerResult SerializedDscAccelerator::run_layer_into(
 
           // Fetch the step's intermediate tile once (held in registers
           // across kernel groups), counting the external reads.
-          std::vector<std::int8_t> acts(static_cast<std::size_t>(
-              config_.tn * config_.tm * slice.channels));
           for (int r = 0; r < config_.tn; ++r) {
             for (int c = 0; c < config_.tm; ++c) {
               const int gr = out_r0 + r;
               const int gc = out_c0 + c;
-              for (int ch = 0; ch < slice.channels; ++ch) {
-                std::int8_t v = 0;
-                if (gr < N && gc < M) {
-                  v = intermediate(gr, gc, slice.channel0 + ch);
-                  ++result.intermediate_external_reads;
-                }
-                acts[static_cast<std::size_t>(
-                    (r * config_.tm + c) * slice.channels + ch)] = v;
+              const auto lanes =
+                  acts.begin() + (r * config_.tm + c) * slice.channels;
+              if (gr < N && gc < M) {
+                std::copy_n(&intermediate(gr, gc, slice.channel0),
+                            slice.channels, lanes);
+                result.intermediate_external_reads += slice.channels;
+              } else {
+                std::fill_n(lanes, slice.channels, std::int8_t{0});
               }
             }
           }
 
-          for (const KernelGroup& group : tiler.kernel_groups()) {
-            core::PwcStepInput pin;
-            pin.rows = config_.tn;
-            pin.cols = config_.tm;
-            pin.channels = slice.channels;
-            pin.kernels = group.kernels;
+          for (std::size_t g = 0; g < groups.size(); ++g) {
+            const KernelGroup& group = groups[g];
+            core::PwcStepInput& pin = group_inputs[g];
             pin.activations = acts;
-            pin.weights.resize(
-                static_cast<std::size_t>(group.kernels * slice.channels));
-            for (int kk = 0; kk < group.kernels; ++kk) {
-              for (int ch = 0; ch < slice.channels; ++ch) {
-                pin.weights[static_cast<std::size_t>(kk * slice.channels +
-                                                     ch)] =
-                    layer.pwc_weights(group.kernel0 + kk,
-                                      slice.channel0 + ch);
-              }
-            }
-            const core::PwcStepOutput pout =
-                pwc_.step(pin, spec.depth_multiplier);
+            pwc_.step_into(pin, spec.depth_multiplier, pout);
             result.pwc_phase_cycles += 1;
             result.common.timing.pwc_active_cycles += 1;
 
@@ -357,11 +366,11 @@ SerializedLayerResult SerializedDscAccelerator::run_layer_into(
               for (int c = 0; c < pout.cols; ++c) {
                 const int tc = sx * config_.tm + c;
                 if (tc >= tile.out_cols) continue;
-                for (int kk = 0; kk < pout.kernels; ++kk) {
-                  psum[static_cast<std::size_t>(
-                      (tr * tile.out_cols + tc) * K + group.kernel0 + kk)] +=
-                      pout.at(r, c, kk);
-                }
+                std::int32_t* dst =
+                    psum + (tr * tile.out_cols + tc) * K + group.kernel0;
+                const std::int32_t* src =
+                    pout.psum.data() + (r * pout.cols + c) * pout.kernels;
+                for (int kk = 0; kk < pout.kernels; ++kk) dst[kk] += src[kk];
               }
             }
           }
@@ -377,15 +386,10 @@ SerializedLayerResult SerializedDscAccelerator::run_layer_into(
     std::vector<std::int32_t> acc_row(static_cast<std::size_t>(K));
     for (int r = 0; r < tile.out_rows; ++r) {
       for (int c = 0; c < tile.out_cols; ++c) {
-        for (int k = 0; k < K; ++k) {
-          acc_row[static_cast<std::size_t>(k)] = psum[static_cast<std::size_t>(
-              (r * tile.out_cols + c) * K + k)];
-        }
+        std::copy_n(psum + (r * tile.out_cols + c) * K, K, acc_row.begin());
         nonconv_.apply_block(acc_row, layer.nonconv2.channels, K, out_row);
-        for (int k = 0; k < K; ++k) {
-          output(tile.out_row0 + r, tile.out_col0 + c, k) =
-              out_row[static_cast<std::size_t>(k)];
-        }
+        std::copy(out_row.begin(), out_row.end(),
+                  &output(tile.out_row0 + r, tile.out_col0 + c, 0));
         result.common.external.record_write(TrafficClass::kActivation, K);
       }
     }

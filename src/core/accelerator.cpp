@@ -93,7 +93,8 @@ class TileWorker {
         pwc_weight_buffer_("pwc_weight", scratch_.bytes(kPwcWeight),
                            config.pwc_weight_buffer_bytes()),
         accumulator_("accumulator", scratch_.bytes(kAccumulator),
-                     config.accumulator_buffer_bytes()) {
+                     config.accumulator_buffer_bytes()),
+        psum_run_(static_cast<std::size_t>(config.tk)) {
     config_.validate();
   }
 
@@ -148,7 +149,8 @@ class TileWorker {
   /// Only *distinct* input channels are staged: with depth multiplier m the
   /// slice's intermediate channels [c0, c0+n) all read input channels
   /// [c0/m, (c0+n-1)/m], so that smaller range is what the SRAM holds and
-  /// what external activation traffic pays for.
+  /// what external activation traffic pays for. Each (row, col) position
+  /// is one run of those channels.
   void load_ifmap_tile(const nn::Int8Tensor& input, const BufferTile& tile,
                        const ChannelSlice& slice, int mult) {
     const int image_rows = input.dim(0);
@@ -168,37 +170,35 @@ class TileWorker {
       for (int c = 0; c < tile.in_cols; ++c) {
         const int gc = tile.in_col0 + c;
         if (gc < 0 || gc >= image_cols) continue;
-        for (int ch = 0; ch < in_count; ++ch) {
-          const std::int8_t v = input(gr, gc, in0 + ch);
-          const std::int64_t addr =
-              (std::int64_t{r} * tile.in_cols + c) * in_count + ch;
-          ifmap_buffer_.store<std::int8_t>(addr, v);
-          ++fetched;
-        }
+        ifmap_buffer_.write_run<std::int8_t>(
+            (std::int64_t{r} * tile.in_cols + c) * in_count,
+            &input(gr, gc, in0), in_count);
+        fetched += in_count;
       }
     }
     partial_.external.record_read(TrafficClass::kActivation, fetched);
     partial_.buffers.dwc_ifmap.record_write(fetched, fetched);
   }
 
-  /// Reads one DWC window from the ifmap buffer (zeros outside the image).
-  /// Window lane `ch` carries intermediate channel slice.channel0 + ch,
-  /// whose data lives at staged input channel (slice.channel0 + ch) / mult.
-  DwcWindow fetch_window(const BufferTile& tile, const ChannelSlice& slice,
-                         int image_rows, int image_cols, int out_row0,
-                         int out_col0, int stride, int padding, int dilation,
-                         int mult) {
-    DwcWindow window;
+  /// Reads one DWC window from the ifmap buffer into window_ (zeros outside
+  /// the image), one run per kernel tap. Window lane `ch` carries
+  /// intermediate channel slice.channel0 + ch, whose data lives at staged
+  /// input channel (slice.channel0 + ch) / mult: at m = 1 the run lands in
+  /// the window directly, otherwise the tap's distinct channels are read
+  /// once and fanned out to the lanes that share them.
+  void fetch_window(const BufferTile& tile, const ChannelSlice& slice,
+                    int image_rows, int image_cols, int out_row0, int out_col0,
+                    int stride, int padding, int dilation, int mult) {
+    DwcWindow& window = window_;
     window.extent = config_.dwc_window_extent(stride, dilation);
     window.channels = slice.channels;
-    window.values.assign(
-        static_cast<std::size_t>(window.extent * window.extent *
-                                 window.channels),
-        0);
+    window.values.resize(static_cast<std::size_t>(
+        window.extent * window.extent * window.channels));
 
     const int in0 = slice.channel0 / mult;
     const int in_count =
         (slice.channel0 + slice.channels - 1) / mult - in0 + 1;
+    tap_.resize(static_cast<std::size_t>(in_count));
 
     // Window origin in unpadded image coordinates (the first kernel tap).
     const int grow0 = out_row0 * stride - padding;
@@ -215,25 +215,30 @@ class TileWorker {
         const int bc = gc - tile.in_col0;
         const bool in_region = br >= 0 && br < tile.in_rows && bc >= 0 &&
                                bc < tile.in_cols;
-        for (int ch = 0; ch < window.channels; ++ch) {
-          std::int8_t v = 0;
-          if (in_image && in_region) {
-            const int src = (slice.channel0 + ch) / mult;
-            const std::int64_t addr =
-                (std::int64_t{br} * tile.in_cols + bc) * in_count +
-                (src - in0);
-            v = ifmap_buffer_.load<std::int8_t>(addr);
-            ++sram_reads;
-          }
-          window.values[static_cast<std::size_t>(
-              (r * window.extent + c) * window.channels + ch)] = v;
+        std::int8_t* lanes = window.values.data() +
+                             (r * window.extent + c) * window.channels;
+        if (!(in_image && in_region)) {
+          std::fill_n(lanes, window.channels, std::int8_t{0});
+          continue;
         }
+        const std::int64_t addr =
+            (std::int64_t{br} * tile.in_cols + bc) * in_count;
+        if (mult == 1) {
+          ifmap_buffer_.read_run<std::int8_t>(addr, lanes, window.channels);
+        } else {
+          ifmap_buffer_.read_run<std::int8_t>(addr, tap_.data(), in_count);
+          for (int ch = 0; ch < window.channels; ++ch) {
+            lanes[ch] =
+                tap_[static_cast<std::size_t>((slice.channel0 + ch) / mult -
+                                              in0)];
+          }
+        }
+        sram_reads += window.channels;
       }
     }
     partial_.buffers.dwc_ifmap.record_read(sram_reads, sram_reads);
     partial_.dataflow.dwc_window_elements +=
         std::int64_t{1} * window.extent * window.extent * window.channels;
-    return window;
   }
 
   /// Executes one (buffer tile, channel slice) pass.
@@ -244,6 +249,7 @@ class TileWorker {
     const nn::DscLayerSpec& spec = layer.spec;
     const int stride = spec.stride;
     const int K = spec.out_channels;
+    const int channels = slice.channels;
     std::int64_t cycle = 0;
 
     // ---- initiation (Fig. 7): fills buffers and the pipeline. ----
@@ -259,37 +265,34 @@ class TileWorker {
     // Ifmap region for this (tile, slice): distinct input channels only.
     load_ifmap_tile(input, tile, slice, spec.depth_multiplier);
 
-    // DWC kernel slice -> weight buffer -> engine registers.
+    // DWC kernel slice -> weight buffer (one run per tap) -> engine
+    // registers (one run for the whole slice).
     {
-      std::vector<std::int8_t> w(static_cast<std::size_t>(
-          config_.kernel * config_.kernel * slice.channels));
+      const auto elements =
+          std::int64_t{1} * config_.kernel * config_.kernel * channels;
       for (int i = 0; i < config_.kernel; ++i) {
         for (int j = 0; j < config_.kernel; ++j) {
-          for (int ch = 0; ch < slice.channels; ++ch) {
-            const std::int8_t v =
-                layer.dwc_weights(i, j, slice.channel0 + ch);
-            const std::int64_t idx =
-                (std::int64_t{i} * config_.kernel + j) * slice.channels + ch;
-            dwc_weight_buffer_.store<std::int8_t>(idx, v);
-            w[static_cast<std::size_t>(idx)] = v;
-          }
+          dwc_weight_buffer_.write_run<std::int8_t>(
+              (std::int64_t{i} * config_.kernel + j) * channels,
+              &layer.dwc_weights(i, j, slice.channel0), channels);
         }
       }
-      const auto elements =
-          std::int64_t{1} * config_.kernel * config_.kernel * slice.channels;
+      dwc_weights_.resize(static_cast<std::size_t>(elements));
+      dwc_weight_buffer_.read_run<std::int8_t>(0, dwc_weights_.data(),
+                                               elements);
       partial_.external.record_read(TrafficClass::kWeight, elements);
       partial_.buffers.dwc_weight.record_write(elements, elements);
       partial_.buffers.dwc_weight.record_read(elements, elements);
       partial_.dataflow.dwc_weight_elements += elements;
-      dwc_.load_weights(w, slice.channels);
+      dwc_.load_weights(dwc_weights_, channels);
     }
 
     // Non-Conv (k, b) pairs for the slice channels -> offline buffer.
     if (trace != nullptr) {
       trace->emit(2, "DWC Input offline Data",
-                  std::to_string(slice.channels) + " (k,b) pairs");
+                  std::to_string(channels) + " (k,b) pairs");
     }
-    for (int ch = 0; ch < slice.channels; ++ch) {
+    for (int ch = 0; ch < channels; ++ch) {
       const auto& p =
           layer.nonconv1.channels[static_cast<std::size_t>(slice.channel0 +
                                                            ch)];
@@ -297,35 +300,52 @@ class TileWorker {
       pack24(offline_buffer_, std::int64_t{ch} * 6 + 3, p.b.raw());
     }
     partial_.external.record_read(TrafficClass::kParameter,
-                                  std::int64_t{2} * slice.channels);
+                                  std::int64_t{2} * channels);
 
-    // PWC weights for (slice, all kernels) -> PWC weight buffer.
+    // PWC weights for (slice, all kernels) -> PWC weight buffer, one run
+    // per kernel.
     for (int k = 0; k < K; ++k) {
-      for (int ch = 0; ch < slice.channels; ++ch) {
-        pwc_weight_buffer_.store<std::int8_t>(
-            std::int64_t{k} * slice.channels + ch,
-            layer.pwc_weights(k, slice.channel0 + ch));
-      }
+      pwc_weight_buffer_.write_run<std::int8_t>(
+          std::int64_t{k} * channels, &layer.pwc_weights(k, slice.channel0),
+          channels);
     }
     {
-      const auto elements = std::int64_t{1} * K * slice.channels;
+      const auto elements = std::int64_t{1} * K * channels;
       partial_.external.record_read(TrafficClass::kWeight, elements);
       partial_.buffers.pwc_weight.record_write(elements, elements);
       partial_.dataflow.pwc_weight_elements += elements;
+    }
+
+    // Each kernel group's operand block is fixed for the whole pass: its
+    // weights are one contiguous run of the PWC weight buffer, gathered
+    // here once. The silicon re-reads them every cycle it drains the
+    // group; that per-cycle read is tallied in the step loop below.
+    group_inputs_.resize(groups.size());
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+      PwcStepInput& pin = group_inputs_[g];
+      pin.rows = config_.tn;
+      pin.cols = config_.tm;
+      pin.channels = channels;
+      pin.kernels = groups[g].kernels;
+      pin.activations.resize(
+          static_cast<std::size_t>(pin.rows * pin.cols * channels));
+      pin.weights.resize(static_cast<std::size_t>(pin.kernels * channels));
+      pwc_weight_buffer_.read_run<std::int8_t>(
+          std::int64_t{groups[g].kernel0} * channels, pin.weights.data(),
+          std::int64_t{pin.kernels} * channels);
     }
 
     cycle += config_.init_cycles;
 
     // Re-read the slice's Non-Conv parameters once per pass (they sit in
     // unit-local registers during compute, as in the silicon).
-    std::vector<nn::NonConvChannelParams> slice_params;
-    slice_params.reserve(static_cast<std::size_t>(slice.channels));
-    for (int ch = 0; ch < slice.channels; ++ch) {
+    slice_params_.clear();
+    for (int ch = 0; ch < channels; ++ch) {
       const std::int32_t kraw =
           unpack24(offline_buffer_, std::int64_t{ch} * 6);
       const std::int32_t braw =
           unpack24(offline_buffer_, std::int64_t{ch} * 6 + 3);
-      slice_params.push_back(nn::NonConvChannelParams{
+      slice_params_.push_back(nn::NonConvChannelParams{
           arch::Q8_16::from_raw(kraw), arch::Q8_16::from_raw(braw)});
     }
 
@@ -335,8 +355,9 @@ class TileWorker {
     const int steps_r = (tile.out_rows + config_.tn - 1) / config_.tn;
     const int steps_c = (tile.out_cols + config_.tm - 1) / config_.tm;
 
-    std::vector<std::int8_t> intermediate(
-        static_cast<std::size_t>(config_.tn * config_.tm * slice.channels));
+    intermediate_.resize(
+        static_cast<std::size_t>(config_.tn * config_.tm * channels));
+    const auto step_elements = static_cast<std::int64_t>(intermediate_.size());
     int step_index = 0;
 
     for (int sy = 0; sy < steps_r; ++sy) {
@@ -345,12 +366,12 @@ class TileWorker {
         const int out_c0 = tile.out_col0 + sx * config_.tm;
 
         // DWC engine fires once for this spatial step.
-        const DwcWindow window =
-            fetch_window(tile, slice, image_rows, image_cols, out_r0, out_c0,
-                         stride, spec.padding, spec.dilation,
-                         spec.depth_multiplier);
-        const DwcStepOutput dwc_out = dwc_.step(window, stride, spec.dilation,
-                                                spec.depth_multiplier);
+        fetch_window(tile, slice, image_rows, image_cols, out_r0, out_c0,
+                     stride, spec.padding, spec.dilation,
+                     spec.depth_multiplier);
+        dwc_.step_into(window_, stride, spec.dilation, spec.depth_multiplier,
+                       dwc_out_);
+        const DwcStepOutput& dwc_out = dwc_out_;
         partial_.timing.dwc_active_cycles += 1;
         if (trace != nullptr && step_index < 4) {
           trace->emit(cycle, "DWC Engine Process",
@@ -360,42 +381,34 @@ class TileWorker {
 
         // Non-Conv transfer: DWC accumulators -> int8 PWC inputs.
         nonconv_.set_writeback_mode(false);
-        nonconv_.apply_block(dwc_out.acc, slice_params, slice.channels,
-                             intermediate);
-        partial_.buffers.offline.record_read(std::int64_t{2} * slice.channels,
-                                             std::int64_t{2} * slice.channels);
+        nonconv_.apply_block(dwc_out.acc, slice_params_, channels,
+                             intermediate_);
+        partial_.buffers.offline.record_read(std::int64_t{2} * channels,
+                                             std::int64_t{2} * channels);
         if (trace != nullptr && step_index < 4) {
           trace->emit(cycle, "Non-Conv Unit Process",
-                      std::to_string(intermediate.size()) + " values");
+                      std::to_string(intermediate_.size()) + " values");
         }
 
         // Direct transfer into the (double-buffered) intermediate buffer.
         const std::int64_t half =
             (step_index % 2) * (config_.intermediate_buffer_bytes() / 2);
-        for (std::size_t i = 0; i < intermediate.size(); ++i) {
-          intermediate_buffer_.store<std::int8_t>(
-              half + static_cast<std::int64_t>(i), intermediate[i]);
-        }
-        {
-          const auto n = static_cast<std::int64_t>(intermediate.size());
-          partial_.buffers.intermediate.record_write(n, n);
-          // PWC-input sparsity statistics (Fig. 11): collected at the point
-          // the intermediate tile is produced. Only spatial positions that
-          // belong to the real ofmap count (edge tiles compute dummy lanes).
-          for (int r = 0; r < dwc_out.rows; ++r) {
-            for (int c = 0; c < dwc_out.cols; ++c) {
-              if (out_r0 + r >= tile.out_row0 + tile.out_rows ||
-                  out_c0 + c >= tile.out_col0 + tile.out_cols) {
-                continue;
-              }
-              for (int ch = 0; ch < slice.channels; ++ch) {
-                ++partial_.pwc_input_total;
-                if (intermediate[static_cast<std::size_t>(
-                        (r * dwc_out.cols + c) * slice.channels + ch)] == 0) {
-                  ++partial_.pwc_input_zeros;
-                }
-              }
-            }
+        intermediate_buffer_.write_run<std::int8_t>(half, intermediate_.data(),
+                                                    step_elements);
+        partial_.buffers.intermediate.record_write(step_elements,
+                                                   step_elements);
+        // PWC-input sparsity statistics (Fig. 11): collected at the point
+        // the intermediate tile is produced. Only spatial positions that
+        // belong to the real ofmap count (edge tiles compute dummy lanes).
+        for (int r = 0; r < dwc_out.rows; ++r) {
+          if (out_r0 + r >= tile.out_row0 + tile.out_rows) continue;
+          for (int c = 0; c < dwc_out.cols; ++c) {
+            if (out_c0 + c >= tile.out_col0 + tile.out_cols) continue;
+            const auto lanes =
+                intermediate_.begin() + (r * dwc_out.cols + c) * channels;
+            partial_.pwc_input_total += channels;
+            partial_.pwc_input_zeros +=
+                std::count(lanes, lanes + channels, std::int8_t{0});
           }
         }
         if (trace != nullptr && step_index < 4) {
@@ -404,64 +417,55 @@ class TileWorker {
         }
 
         // PWC engine drains the kernel groups; one group per cycle.
-        for (const KernelGroup& group : groups) {
-          PwcStepInput pin;
-          pin.rows = config_.tn;
-          pin.cols = config_.tm;
-          pin.channels = slice.channels;
-          pin.kernels = group.kernels;
-          pin.activations.resize(
-              static_cast<std::size_t>(pin.rows * pin.cols * pin.channels));
-          for (std::size_t i = 0; i < pin.activations.size(); ++i) {
-            pin.activations[i] = intermediate_buffer_.load<std::int8_t>(
-                half + static_cast<std::int64_t>(i));
-          }
+        for (std::size_t g = 0; g < groups.size(); ++g) {
+          const KernelGroup& group = groups[g];
+          PwcStepInput& pin = group_inputs_[g];
+          intermediate_buffer_.read_run<std::int8_t>(
+              half, pin.activations.data(), step_elements);
+          partial_.buffers.intermediate.record_read(step_elements,
+                                                    step_elements);
+          partial_.dataflow.pwc_activation_elements += step_elements;
           {
-            const auto n = static_cast<std::int64_t>(pin.activations.size());
-            partial_.buffers.intermediate.record_read(n, n);
-            partial_.dataflow.pwc_activation_elements += n;
-          }
-          pin.weights.resize(
-              static_cast<std::size_t>(group.kernels * pin.channels));
-          for (int kk = 0; kk < group.kernels; ++kk) {
-            for (int ch = 0; ch < pin.channels; ++ch) {
-              pin.weights[static_cast<std::size_t>(kk * pin.channels + ch)] =
-                  pwc_weight_buffer_.load<std::int8_t>(
-                      (std::int64_t{group.kernel0} + kk) * pin.channels + ch);
-            }
-          }
-          {
-            const auto n = std::int64_t{1} * group.kernels * pin.channels;
+            const auto n = std::int64_t{1} * group.kernels * channels;
             partial_.buffers.pwc_weight.record_read(n, n);
           }
 
-          const PwcStepOutput pout = pwc_.step(pin, spec.depth_multiplier);
+          pwc_.step_into(pin, spec.depth_multiplier, pwc_out_);
+          const PwcStepOutput& pout = pwc_out_;
           partial_.timing.pwc_active_cycles += 1;
           if (trace != nullptr && step_index < 2 && group.kernel0 == 0) {
             trace->emit(cycle, "PWC Engine Process",
                         "group k0=" + std::to_string(group.kernel0));
           }
 
-          // Accumulate valid partial sums for this tile.
+          // Accumulate valid partial sums for this tile: one
+          // read-modify-write run of the group's kernels per position.
+          const std::int64_t kernels = pout.kernels;
           for (int r = 0; r < pout.rows; ++r) {
             const int tr = sy * config_.tn + r;  // tile-relative output row
             if (tr >= tile.out_rows) continue;
             for (int c = 0; c < pout.cols; ++c) {
               const int tc = sx * config_.tm + c;
               if (tc >= tile.out_cols) continue;
-              for (int kk = 0; kk < pout.kernels; ++kk) {
-                const std::int64_t addr =
-                    (std::int64_t{tr} * tile.out_cols + tc) * K +
-                    group.kernel0 + kk;
-                std::int32_t psum = pout.at(r, c, kk);
-                if (!first_slice) {
-                  psum += accumulator_.load<std::int32_t>(addr);
-                  partial_.buffers.accumulator.record_read(4);
+              const std::int64_t addr =
+                  (std::int64_t{tr} * tile.out_cols + tc) * K + group.kernel0;
+              const std::int32_t* step_psum =
+                  pout.psum.data() + (r * pout.cols + c) * pout.kernels;
+              std::int32_t* psum = psum_run_.data();
+              if (first_slice) {
+                std::copy_n(step_psum, kernels, psum);
+              } else {
+                accumulator_.read_run<std::int32_t>(addr, psum, kernels);
+                partial_.buffers.accumulator.record_read(4 * kernels, kernels);
+                for (std::int64_t kk = 0; kk < kernels; ++kk) {
+                  psum[kk] += step_psum[kk];
                 }
-                accumulator_.store<std::int32_t>(addr, psum);
-                partial_.buffers.accumulator.record_write(4);
+              }
+              accumulator_.write_run<std::int32_t>(addr, psum, kernels);
+              partial_.buffers.accumulator.record_write(4 * kernels, kernels);
+              for (std::int64_t kk = 0; kk < kernels; ++kk) {
                 const std::int64_t mag =
-                    std::abs(static_cast<std::int64_t>(psum));
+                    std::abs(static_cast<std::int64_t>(psum[kk]));
                 if (mag > partial_.max_abs_psum) partial_.max_abs_psum = mag;
               }
             }
@@ -477,9 +481,10 @@ class TileWorker {
     partial_.timing.total_cycles += cycle;
   }
 
-  /// Write-back: accumulator -> Non-Conv (per-K params) -> output tensor.
-  /// Touches only this tile's (disjoint) output region, so concurrent
-  /// write-backs from different workers never alias.
+  /// Write-back: accumulator -> Non-Conv (per-K params) -> output tensor,
+  /// one run of K partial sums per output position. Touches only this
+  /// tile's (disjoint) output region, so concurrent write-backs from
+  /// different workers never alias.
   void write_back_tile(const nn::QuantDscLayer& layer, const BufferTile& tile,
                        nn::Int8Tensor& output) {
     const int K = layer.spec.out_channels;
@@ -490,22 +495,16 @@ class TileWorker {
     partial_.external.record_read(arch::TrafficClass::kParameter,
                                   std::int64_t{2} * K);
 
-    std::vector<std::int32_t> acc_row(static_cast<std::size_t>(K));
-    std::vector<std::int8_t> out_row(static_cast<std::size_t>(K));
+    acc_row_.resize(static_cast<std::size_t>(K));
+    out_row_.resize(static_cast<std::size_t>(K));
     for (int r = 0; r < tile.out_rows; ++r) {
       for (int c = 0; c < tile.out_cols; ++c) {
-        for (int k = 0; k < K; ++k) {
-          const std::int64_t addr =
-              (std::int64_t{r} * tile.out_cols + c) * K + k;
-          acc_row[static_cast<std::size_t>(k)] =
-              accumulator_.load<std::int32_t>(addr);
-        }
+        accumulator_.read_run<std::int32_t>(
+            (std::int64_t{r} * tile.out_cols + c) * K, acc_row_.data(), K);
         partial_.buffers.accumulator.record_read(std::int64_t{4} * K, K);
-        nonconv_.apply_block(acc_row, layer.nonconv2.channels, K, out_row);
-        for (int k = 0; k < K; ++k) {
-          output(tile.out_row0 + r, tile.out_col0 + c, k) =
-              out_row[static_cast<std::size_t>(k)];
-        }
+        nonconv_.apply_block(acc_row_, layer.nonconv2.channels, K, out_row_);
+        std::copy(out_row_.begin(), out_row_.end(),
+                  &output(tile.out_row0 + r, tile.out_col0 + c, 0));
         partial_.external.record_write(arch::TrafficClass::kActivation, K);
       }
     }
@@ -528,6 +527,20 @@ class TileWorker {
   arch::SramBuffer accumulator_;
 
   LayerPartial partial_;
+
+  // Host-side staging reused across passes and steps (sized on first use,
+  // never part of the modelled silicon).
+  DwcWindow window_;
+  DwcStepOutput dwc_out_;
+  PwcStepOutput pwc_out_;
+  std::vector<std::int8_t> tap_;          ///< one tap's distinct channels
+  std::vector<std::int8_t> dwc_weights_;  ///< engine register image
+  std::vector<nn::NonConvChannelParams> slice_params_;
+  std::vector<PwcStepInput> group_inputs_;  ///< per kernel group, per pass
+  std::vector<std::int8_t> intermediate_;   ///< one step's Non-Conv output
+  std::vector<std::int32_t> psum_run_;      ///< one position's group psums
+  std::vector<std::int32_t> acc_row_;       ///< write-back K psums
+  std::vector<std::int8_t> out_row_;        ///< write-back K outputs
 };
 
 }  // namespace detail

@@ -37,9 +37,9 @@ void DwcEngine::set_kernel_policy(KernelPolicy policy) noexcept {
   cached_fn_ = nullptr;
 }
 
-DwcStepOutput DwcEngine::run_step(const DwcWindow& window, int stride,
-                                  int dilation, DwcKernelFn fn,
-                                  arch::MacActivity& activity) const {
+void DwcEngine::run_step(const DwcWindow& window, int stride, int dilation,
+                         DwcKernelFn fn, arch::MacActivity& activity,
+                         DwcStepOutput& out) const {
   EDEA_REQUIRE(stride == 1 || stride == 2, "DWC stride must be 1 or 2");
   EDEA_REQUIRE(dilation >= 1, "DWC dilation must be >= 1");
   EDEA_REQUIRE(weight_channels_ > 0, "DWC weights not loaded");
@@ -49,11 +49,11 @@ DwcStepOutput DwcEngine::run_step(const DwcWindow& window, int stride,
                "window extent must match stride/dilation geometry");
 
   const int k = config_.kernel;
-  DwcStepOutput out;
   out.rows = config_.tn;
   out.cols = config_.tm;
   out.channels = window.channels;
-  out.acc.resize(static_cast<std::size_t>(out.rows * out.cols * out.channels));
+  out.acc.assign(static_cast<std::size_t>(out.rows * out.cols * out.channels),
+                 0);
 
   DwcKernelArgs args;
   args.window = window.values.data();
@@ -75,13 +75,18 @@ DwcStepOutput DwcEngine::run_step(const DwcWindow& window, int stride,
   // boundary so every kernel sees the same contract.
   const int idle_lanes =
       (config_.td - window.channels) * config_.tn * config_.tm * k * k;
-  for (int i = 0; i < idle_lanes; ++i) lane_.idle(activity);
-
-  return out;
+  activity.lane_cycles += idle_lanes;
 }
 
 DwcStepOutput DwcEngine::step(const DwcWindow& window, int stride,
                               int dilation, int depth_multiplier) {
+  DwcStepOutput out;
+  step_into(window, stride, dilation, depth_multiplier, out);
+  return out;
+}
+
+void DwcEngine::step_into(const DwcWindow& window, int stride, int dilation,
+                          int depth_multiplier, DwcStepOutput& out) {
   DwcKernelFn fn = &generic_dwc_kernel;
   if (policy_ != KernelPolicy::kForceGeneric) {
     const KernelShapeKey key = shape_key(stride, dilation, depth_multiplier);
@@ -91,7 +96,7 @@ DwcStepOutput DwcEngine::step(const DwcWindow& window, int stride,
     }
     fn = cached_fn_;
   }
-  return run_step(window, stride, dilation, fn, activity_);
+  run_step(window, stride, dilation, fn, activity_, out);
 }
 
 DwcStepOutput DwcEngine::step(const DwcWindow& window, int stride,
@@ -102,11 +107,13 @@ DwcStepOutput DwcEngine::step(const DwcWindow& window, int stride,
           ? &generic_dwc_kernel
           : KernelDispatch::instance().find_dwc(
                 shape_key(stride, dilation, depth_multiplier));
-  return run_step(window, stride, dilation, fn, activity);
+  DwcStepOutput out;
+  run_step(window, stride, dilation, fn, activity, out);
+  return out;
 }
 
 void DwcEngine::idle_cycle() {
-  for (int i = 0; i < mac_count(); ++i) lane_.idle(activity_);
+  activity_.lane_cycles += mac_count();
 }
 
 }  // namespace edea::core

@@ -67,6 +67,12 @@ class DwcEngine {
   [[nodiscard]] DwcStepOutput step(const DwcWindow& window, int stride,
                                    int dilation = 1, int depth_multiplier = 1);
 
+  /// The same step, written into a caller-owned `out` whose storage is
+  /// reused across calls (the accelerator's per-step loop allocates
+  /// nothing). Outputs and activity are identical to step().
+  void step_into(const DwcWindow& window, int stride, int dilation,
+                 int depth_multiplier, DwcStepOutput& out);
+
   /// Reentrant step: same arithmetic, but activity is tallied into the
   /// caller-supplied sink instead of the engine's own counter and the
   /// kernel lookup bypasses the engine-local cache. Safe to call
@@ -103,12 +109,11 @@ class DwcEngine {
  private:
   [[nodiscard]] KernelShapeKey shape_key(int stride, int dilation,
                                          int depth_multiplier) const noexcept;
-  [[nodiscard]] DwcStepOutput run_step(const DwcWindow& window, int stride,
-                                       int dilation, DwcKernelFn fn,
-                                       arch::MacActivity& activity) const;
+  void run_step(const DwcWindow& window, int stride, int dilation,
+                DwcKernelFn fn, arch::MacActivity& activity,
+                DwcStepOutput& out) const;
 
   EdeaConfig config_;
-  arch::MacLane lane_;
   arch::AdderTree tree_;
   std::vector<std::int8_t> weights_;  ///< [kh][kw][channel]
   int weight_channels_ = 0;

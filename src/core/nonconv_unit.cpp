@@ -15,10 +15,12 @@ void NonConvUnitArray::apply_block(
   EDEA_REQUIRE(params.size() >= static_cast<std::size_t>(channels),
                "missing Non-Conv parameters for some channels");
 
-  for (std::size_t i = 0; i < acc.size(); ++i) {
-    const auto ch = static_cast<std::size_t>(
-        static_cast<std::int64_t>(i) % channels);
-    out[i] = params[ch].apply(acc[i]);
+  // Position-major walk: lane ch of every position uses params[ch].
+  const auto lanes = static_cast<std::size_t>(channels);
+  for (std::size_t base = 0; base < acc.size(); base += lanes) {
+    for (std::size_t ch = 0; ch < lanes; ++ch) {
+      out[base + ch] = params[ch].apply(acc[base + ch]);
+    }
   }
 
   const auto ops = static_cast<std::int64_t>(acc.size());

@@ -24,8 +24,9 @@ void PwcEngine::set_kernel_policy(KernelPolicy policy) noexcept {
   cached_fn_ = nullptr;
 }
 
-PwcStepOutput PwcEngine::run_step(const PwcStepInput& input, PwcKernelFn fn,
-                                  arch::MacActivity& activity) const {
+void PwcEngine::run_step(const PwcStepInput& input, PwcKernelFn fn,
+                         arch::MacActivity& activity,
+                         PwcStepOutput& out) const {
   EDEA_REQUIRE(input.rows == config_.tn && input.cols == config_.tm,
                "PWC step tile must be Tn x Tm");
   EDEA_REQUIRE(input.channels > 0 && input.channels <= config_.td,
@@ -40,12 +41,11 @@ PwcStepOutput PwcEngine::run_step(const PwcStepInput& input, PwcKernelFn fn,
                                            input.kernels * input.channels),
                "PWC weight block size mismatch");
 
-  PwcStepOutput out;
   out.rows = input.rows;
   out.cols = input.cols;
   out.kernels = input.kernels;
-  out.psum.resize(
-      static_cast<std::size_t>(out.rows * out.cols * out.kernels));
+  out.psum.assign(static_cast<std::size_t>(out.rows * out.cols * out.kernels),
+                  0);
 
   PwcKernelArgs args;
   args.activations = input.activations.data();
@@ -63,13 +63,18 @@ PwcStepOutput PwcEngine::run_step(const PwcStepInput& input, PwcKernelFn fn,
   // lives above the kernel boundary so every kernel sees the same contract.
   const int idle_lanes =
       (config_.tk - input.kernels) * config_.tn * config_.tm * config_.td;
-  for (int i = 0; i < idle_lanes; ++i) lane_.idle(activity);
-
-  return out;
+  activity.lane_cycles += idle_lanes;
 }
 
 PwcStepOutput PwcEngine::step(const PwcStepInput& input,
                               int depth_multiplier) {
+  PwcStepOutput out;
+  step_into(input, depth_multiplier, out);
+  return out;
+}
+
+void PwcEngine::step_into(const PwcStepInput& input, int depth_multiplier,
+                          PwcStepOutput& out) {
   PwcKernelFn fn = &generic_pwc_kernel;
   if (policy_ != KernelPolicy::kForceGeneric) {
     const KernelShapeKey key = shape_key(depth_multiplier);
@@ -79,7 +84,7 @@ PwcStepOutput PwcEngine::step(const PwcStepInput& input,
     }
     fn = cached_fn_;
   }
-  return run_step(input, fn, activity_);
+  run_step(input, fn, activity_, out);
 }
 
 PwcStepOutput PwcEngine::step(const PwcStepInput& input, int depth_multiplier,
@@ -88,11 +93,13 @@ PwcStepOutput PwcEngine::step(const PwcStepInput& input, int depth_multiplier,
                              ? &generic_pwc_kernel
                              : KernelDispatch::instance().find_pwc(
                                    shape_key(depth_multiplier));
-  return run_step(input, fn, activity);
+  PwcStepOutput out;
+  run_step(input, fn, activity, out);
+  return out;
 }
 
 void PwcEngine::idle_cycle() {
-  for (int i = 0; i < mac_count(); ++i) lane_.idle(activity_);
+  activity_.lane_cycles += mac_count();
 }
 
 }  // namespace edea::core

@@ -64,6 +64,12 @@ class PwcEngine {
   [[nodiscard]] PwcStepOutput step(const PwcStepInput& input,
                                    int depth_multiplier = 1);
 
+  /// The same step, written into a caller-owned `out` whose storage is
+  /// reused across calls (the accelerator's per-step loop allocates
+  /// nothing). Outputs and activity are identical to step().
+  void step_into(const PwcStepInput& input, int depth_multiplier,
+                 PwcStepOutput& out);
+
   /// Reentrant step: activity tallies into the caller-supplied sink and
   /// the kernel lookup bypasses the engine-local cache. Safe to call
   /// concurrently from multiple threads on one engine.
@@ -104,12 +110,10 @@ class PwcEngine {
 
  private:
   [[nodiscard]] KernelShapeKey shape_key(int depth_multiplier) const noexcept;
-  [[nodiscard]] PwcStepOutput run_step(const PwcStepInput& input,
-                                       PwcKernelFn fn,
-                                       arch::MacActivity& activity) const;
+  void run_step(const PwcStepInput& input, PwcKernelFn fn,
+                arch::MacActivity& activity, PwcStepOutput& out) const;
 
   EdeaConfig config_;
-  arch::MacLane lane_;
   arch::AdderTree tree_;
   arch::MacActivity activity_;
   KernelPolicy policy_ = KernelDispatch::default_policy();

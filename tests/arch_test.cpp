@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include "arch/counters.hpp"
 #include "arch/ext_memory.hpp"
@@ -15,19 +18,33 @@ namespace {
 
 // ----------------------------------------------------------------- SRAM ---
 
+/// One-element run helpers: the shape the engines' scalar accesses took
+/// before every staging loop moved whole runs.
+template <typename T>
+void store(SramBuffer& buf, std::int64_t index, T value) {
+  buf.write_run<T>(index, &value, 1);
+}
+
+template <typename T>
+T load(SramBuffer& buf, std::int64_t index) {
+  T value{};
+  buf.read_run<T>(index, &value, 1);
+  return value;
+}
+
 TEST(SramBuffer, StoreLoadRoundTrip) {
   SramBuffer buf("test", 64);
-  buf.store<std::int8_t>(3, -7);
-  EXPECT_EQ(buf.load<std::int8_t>(3), -7);
-  buf.store<std::int32_t>(4, 123456);
-  EXPECT_EQ(buf.load<std::int32_t>(4), 123456);
+  store<std::int8_t>(buf, 3, -7);
+  EXPECT_EQ(load<std::int8_t>(buf, 3), -7);
+  store<std::int32_t>(buf, 4, 123456);
+  EXPECT_EQ(load<std::int32_t>(buf, 4), 123456);
 }
 
 TEST(SramBuffer, CountsAccesses) {
   SramBuffer buf("test", 64);
-  buf.store<std::int8_t>(0, 1);
-  buf.store<std::int8_t>(1, 2);
-  (void)buf.load<std::int8_t>(0);
+  store<std::int8_t>(buf, 0, 1);
+  store<std::int8_t>(buf, 1, 2);
+  (void)load<std::int8_t>(buf, 0);
   EXPECT_EQ(buf.counter().writes, 2);
   EXPECT_EQ(buf.counter().reads, 1);
   EXPECT_EQ(buf.counter().write_bytes, 2);
@@ -38,9 +55,9 @@ TEST(SramBuffer, CountsAccesses) {
 
 TEST(SramBuffer, CapacityIsEnforced) {
   SramBuffer buf("tiny", 8);
-  EXPECT_NO_THROW(buf.store<std::int32_t>(1, 42));  // bytes 4..7
-  EXPECT_THROW(buf.store<std::int8_t>(8, 1), ResourceError);
-  EXPECT_THROW(buf.store<std::int32_t>(2, 1), ResourceError);
+  EXPECT_NO_THROW(store<std::int32_t>(buf, 1, 42));  // bytes 4..7
+  EXPECT_THROW(store<std::int8_t>(buf, 8, 1), ResourceError);
+  EXPECT_THROW(store<std::int32_t>(buf, 2, 1), ResourceError);
   std::int8_t dst = 0;
   EXPECT_THROW(buf.read(-1, &dst, 1), ResourceError);
 }
@@ -48,7 +65,7 @@ TEST(SramBuffer, CapacityIsEnforced) {
 TEST(SramBuffer, ErrorMessageNamesTheBuffer) {
   SramBuffer buf("dwc_ifmap", 4);
   try {
-    buf.store<std::int8_t>(100, 1);
+    store<std::int8_t>(buf, 100, 1);
     FAIL() << "expected ResourceError";
   } catch (const ResourceError& e) {
     EXPECT_NE(std::string(e.what()).find("dwc_ifmap"), std::string::npos);
@@ -57,10 +74,114 @@ TEST(SramBuffer, ErrorMessageNamesTheBuffer) {
 
 TEST(SramBuffer, ClearContentsPreservesCounters) {
   SramBuffer buf("test", 16);
-  buf.store<std::int8_t>(0, 9);
+  store<std::int8_t>(buf, 0, 9);
   buf.clear_contents();
-  EXPECT_EQ(buf.load<std::int8_t>(0), 0);
+  EXPECT_EQ(load<std::int8_t>(buf, 0), 0);
   EXPECT_EQ(buf.counter().writes, 1);  // clear is not a counted write
+}
+
+/// A run of n elements must leave the counter exactly where n
+/// single-element accesses leave it - the engines' counters depend on it.
+template <typename T>
+void expect_run_counts_like_single_elements(SramBuffer& runs,
+                                            SramBuffer& singles) {
+  std::vector<T> src(7);
+  for (std::size_t i = 0; i < src.size(); ++i) {
+    src[i] = static_cast<T>(static_cast<int>(i) * 37 - 100);
+  }
+  const auto n = static_cast<std::int64_t>(src.size());
+  runs.write_run<T>(2, src.data(), n);
+  std::vector<T> back(src.size());
+  runs.read_run<T>(2, back.data(), n);
+  EXPECT_EQ(back, src);
+
+  for (std::int64_t i = 0; i < n; ++i) {
+    store<T>(singles, 2 + i, src[static_cast<std::size_t>(i)]);
+  }
+  for (std::int64_t i = 0; i < n; ++i) {
+    EXPECT_EQ(load<T>(singles, 2 + i), src[static_cast<std::size_t>(i)]);
+  }
+  EXPECT_EQ(runs.counter(), singles.counter());
+  EXPECT_EQ(runs.counter().writes, n);
+  EXPECT_EQ(runs.counter().write_bytes, n * std::int64_t{sizeof(T)});
+}
+
+TEST(SramBuffer, RunCountsEqualSingleElementCountsInt8) {
+  SramBuffer runs("runs", 64);
+  SramBuffer singles("singles", 64);
+  expect_run_counts_like_single_elements<std::int8_t>(runs, singles);
+}
+
+TEST(SramBuffer, RunCountsEqualSingleElementCountsInt32) {
+  SramBuffer runs("runs", 64);
+  SramBuffer singles("singles", 64);
+  expect_run_counts_like_single_elements<std::int32_t>(runs, singles);
+}
+
+TEST(SramBuffer, RunCrossingCapacityThrowsNamingTheBuffer) {
+  SramBuffer buf("accumulator", 16);  // four int32 slots
+  const std::array<std::int32_t, 3> src{1, 2, 3};
+  EXPECT_NO_THROW(buf.write_run<std::int32_t>(1, src.data(), 3));  // 1..3
+  try {
+    buf.write_run<std::int32_t>(2, src.data(), 3);  // slots 2..4
+    FAIL() << "expected ResourceError";
+  } catch (const ResourceError& e) {
+    EXPECT_NE(std::string(e.what()).find("accumulator"), std::string::npos);
+  }
+  std::array<std::int32_t, 3> dst{};
+  EXPECT_THROW(buf.read_run<std::int32_t>(2, dst.data(), 3), ResourceError);
+  EXPECT_THROW(buf.read_run<std::int32_t>(-1, dst.data(), 1), ResourceError);
+  EXPECT_THROW(buf.read_run<std::int32_t>(0, dst.data(), -1), ResourceError);
+  // The failed accesses moved nothing and counted nothing.
+  EXPECT_EQ(buf.counter().writes, 3);
+  EXPECT_EQ(buf.counter().reads, 0);
+}
+
+TEST(SramBuffer, ZeroLengthRunIsANoOp) {
+  SramBuffer buf("test", 8);
+  store<std::int8_t>(buf, 0, 5);
+  buf.write_run<std::int8_t>(0, nullptr, 0);
+  buf.read_run<std::int8_t>(8, nullptr, 0);  // at the end: still in range
+  EXPECT_EQ(load<std::int8_t>(buf, 0), 5);
+  EXPECT_EQ(buf.counter().writes, 1);
+  EXPECT_EQ(buf.counter().reads, 1);
+}
+
+TEST(SramBuffer, SpanModeRunsBehaveLikeOwningMode) {
+  std::array<std::uint8_t, 32> backing{};
+  SramBuffer span("span", backing.data(), 32);
+  SramBuffer owning("owning", 32);
+  EXPECT_FALSE(span.owns_storage());
+  EXPECT_TRUE(owning.owns_storage());
+  const std::array<std::int32_t, 4> src{-1, 0, 7, 1 << 20};
+  for (SramBuffer* buf : {&span, &owning}) {
+    buf->write_run<std::int32_t>(3, src.data(), 4);
+    std::array<std::int32_t, 4> dst{};
+    buf->read_run<std::int32_t>(3, dst.data(), 4);
+    EXPECT_EQ(dst, src);
+    EXPECT_THROW(buf->write_run<std::int32_t>(5, src.data(), 4),
+                 ResourceError);
+  }
+  EXPECT_EQ(span.counter(), owning.counter());
+  // Span mode really writes through to the provided storage.
+  std::int32_t third = 0;
+  std::memcpy(&third, backing.data() + 3 * 4 + 2 * 4, sizeof third);
+  EXPECT_EQ(third, 7);
+}
+
+TEST(SramBuffer, AddressesNearInt64MaxAreRejectedWithoutOverflow) {
+  SramBuffer buf("test", 64);
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  std::int8_t byte = 0;
+  EXPECT_THROW(buf.write(kMax, &byte, 1), ResourceError);
+  EXPECT_THROW(buf.read(kMax - 1, &byte, 2), ResourceError);
+  EXPECT_THROW(buf.write(1, &byte, kMax), ResourceError);
+  std::int32_t word = 0;
+  EXPECT_THROW(buf.write_run<std::int32_t>(kMax, &word, 1), ResourceError);
+  EXPECT_THROW(buf.read_run<std::int32_t>(kMax / 4, &word, 1),
+               ResourceError);
+  EXPECT_THROW(buf.read_run<std::int32_t>(1, &word, kMax), ResourceError);
+  EXPECT_EQ(buf.counter().total_accesses(), 0);
 }
 
 TEST(SramBuffer, RejectsNonPositiveCapacity) {

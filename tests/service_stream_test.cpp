@@ -70,6 +70,26 @@ core::SweepJob make_job(WorkloadCatalog& catalog, const std::string& line) {
   return job;
 }
 
+/// Materializes the workload behind every run line in `lines` into
+/// `catalog` up front. The admission tests submit bursts of fresh
+/// simulations and need each submission to follow the previous one within
+/// microseconds; synthesizing a network between submissions takes longer
+/// than a fast simulation, and would let a single worker drain the queue
+/// before the next job arrives.
+void prewarm(WorkloadCatalog& catalog, const std::vector<std::string>& lines) {
+  for (const std::string& line : lines) {
+    const ParsedLine parsed = parse_request_line(line);
+    if (parsed.kind != ParsedLine::Kind::kRun) continue;
+    const Request& r = parsed.request;
+    try {
+      (void)catalog.resolve(r.network, r.seed, r.dilation,
+                            r.depth_multiplier);
+    } catch (const PreconditionError&) {
+      // An unresolvable network is left for the session to answer.
+    }
+  }
+}
+
 /// mobilenet-0.25x with td=16 is the fastest zoo simulation - the same
 /// cheap workload the transport tests script.
 const char* kFastRun = "run mobilenet-0.25x seed=3 td=16";
@@ -248,19 +268,26 @@ TEST(ServiceAdmissionTest, BoundedQueueRejectsOnlyFreshSimulations) {
   WorkloadCatalog catalog;
   const std::uint64_t session = svc.new_session_id();
 
+  // Every job is built (its workload synthesized) before the burst, so
+  // the submissions below are microseconds apart.
+  const core::SweepJob first_job =
+      make_job(catalog, "run mobilenet-0.25x seed=50 td=16");
+  std::vector<core::SweepJob> burst;
+  for (int seed = 51; seed < 55; ++seed) {
+    burst.push_back(make_job(catalog, "run mobilenet-0.25x seed=" +
+                                          std::to_string(seed) + " td=16"));
+  }
+
   std::promise<core::SweepOutcome> first;
   ASSERT_EQ(svc.submit_streaming(
-                make_job(catalog, "run mobilenet-0.25x seed=50 td=16"),
-                session,
+                first_job, session,
                 [&](core::SweepOutcome o) { first.set_value(std::move(o)); }),
             Admission::kAdmitted);
 
   std::size_t busy = 0;
-  for (int seed = 51; seed < 55; ++seed) {
-    const Admission verdict = svc.submit_streaming(
-        make_job(catalog, "run mobilenet-0.25x seed=" + std::to_string(seed) +
-                              " td=16"),
-        session, [](core::SweepOutcome) {});
+  for (const core::SweepJob& job : burst) {
+    const Admission verdict =
+        svc.submit_streaming(job, session, [](core::SweepOutcome) {});
     if (verdict == Admission::kBusy) ++busy;
   }
   EXPECT_GE(busy, 1u) << "four fresh submissions within microseconds of a "
@@ -303,13 +330,13 @@ TEST(SessionAdmissionTest, BusyRepliesAreSelfIdentifyingAndAccounted) {
   SessionOptions session_options;
   session_options.busy_retry_ms = 7;
 
+  const std::vector<std::string> requests = {
+      "run mobilenet-0.25x seed=60 td=16", "run mobilenet-0.25x seed=61 td=16",
+      "run mobilenet-0.25x seed=62 td=16", "stats"};
+  prewarm(catalog, requests);
   SessionStats stats;
-  const std::vector<std::string> responses = serve_stdio(
-      svc, catalog,
-      {"run mobilenet-0.25x seed=60 td=16",
-       "run mobilenet-0.25x seed=61 td=16",
-       "run mobilenet-0.25x seed=62 td=16", "stats"},
-      session_options, &stats);
+  const std::vector<std::string> responses =
+      serve_stdio(svc, catalog, requests, session_options, &stats);
   ASSERT_EQ(responses.size(), 4u);
 
   // Busy replies are well-formed and carry the session's configured
@@ -473,7 +500,9 @@ std::vector<std::string> answered(const PipelineReport& report) {
 }
 
 /// Runs `client` against a one-session loopback server and returns its
-/// report. `service_options`/`session_options` shape the server side.
+/// report. `service_options`/`session_options` shape the server side. The
+/// server's catalog is prewarmed with every request's workload, so a
+/// pipelined burst reaches the service as fast as the wire carries it.
 PipelineReport loopback_run(
     const std::vector<std::string>& requests, const PipelineOptions& options,
     bool serial = false,
@@ -481,6 +510,7 @@ PipelineReport loopback_run(
     SessionOptions session_options = SessionOptions()) {
   SimulationService svc(service_options);
   WorkloadCatalog catalog;
+  prewarm(catalog, requests);
   SocketTransportOptions transport_options;
   transport_options.max_sessions = 1;
   SocketTransport transport(transport_options);
