@@ -1,12 +1,17 @@
 #include "nn/model_zoo.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cmath>
+#include <numeric>
 #include <sstream>
 
+#include "arch/fixed_point.hpp"
 #include "nn/mobilenet.hpp"
+#include "nn/quant.hpp"
 #include "util/check.hpp"
 #include "util/random.hpp"
+#include "util/thread_pool.hpp"
 
 namespace edea::nn {
 
@@ -277,20 +282,78 @@ std::vector<DscLayerSpec> zoo_specs(const std::string& name) {
   return {};  // unreachable
 }
 
+namespace {
+
+/// Fixed demo scale shared by every activation of a synthetic network:
+/// chained layers share the activation domain, so layer i's output scale
+/// equals layer i+1's input scale.
+constexpr QuantScale kSyntheticActivationScale{0.03f};
+
+/// Synthetic BN draws occasionally (~1% of zoo workloads; e.g.
+/// mobilenet-cifar seed 43) give a channel a large mean over a small
+/// variance, whose shift folds to a Non-Conv offset b = shift / scale
+/// outside Q8.16, and fold_nonconv rightly refuses it. This saturates
+/// exactly those channels: their beta is pulled in until b folds to
+/// +-127, just inside the range. The test is fold_nonconv's own encode
+/// check, so every channel it accepts - and so every workload it ever
+/// accepted - keeps its bytes.
+void saturate_bn_shift(BatchNormParams& bn, QuantScale output_scale) {
+  constexpr double kSaturatedOffset = 127.0;
+  const double scale = static_cast<double>(output_scale.scale);
+  for (std::size_t c = 0; c < bn.channels(); ++c) {
+    const double b = static_cast<double>(bn.effective_shift(c)) / scale;
+    const double raw =
+        std::nearbyint(b * static_cast<double>(arch::Q8_16::kOne));
+    if (raw >= arch::Q8_16::kMinRaw && raw <= arch::Q8_16::kMaxRaw) continue;
+    const double target = std::copysign(kSaturatedOffset, b) * scale;
+    bn.beta[c] = static_cast<float>(static_cast<double>(bn.beta[c]) +
+                                    target -
+                                    static_cast<double>(bn.effective_shift(c)));
+  }
+}
+
+}  // namespace
+
 std::vector<QuantDscLayer> make_random_quant_network(
     const std::vector<DscLayerSpec>& specs, std::uint64_t seed) {
   EDEA_REQUIRE(!specs.empty(), "network needs at least one layer");
+  // Every layer draws from its own fork of the network Rng, taken in
+  // layer order; with the forks drawn up front the layers are independent
+  // and build in parallel, each written by index - the bytes do not
+  // depend on the schedule.
   Rng rng(seed);
-  std::vector<QuantDscLayer> layers;
-  layers.reserve(specs.size());
-  for (const DscLayerSpec& spec : specs) {
-    Rng layer_rng = rng.fork();
-    const FloatDscLayer fl = make_random_float_layer(spec, layer_rng);
-    // Fixed demo scales: chained layers share the activation domain so
-    // layer i's output scale equals layer i+1's input scale.
-    layers.push_back(quantize_layer(fl, QuantScale{0.03f},
-                                    QuantScale{0.03f}, QuantScale{0.03f}));
+  std::vector<Rng> layer_rngs;
+  layer_rngs.reserve(specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    layer_rngs.push_back(rng.fork());
   }
+  // Largest layers first: one layer's draws are sequential, so the
+  // biggest one (MobileNet's last, a third of all weights) bounds the
+  // wall time and must not start last.
+  std::vector<std::size_t> order(specs.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  const auto weight_count = [&](std::size_t i) {
+    const DscLayerSpec& s = specs[i];
+    return std::int64_t{1} * s.intermediate_channels() *
+           (s.kernel * s.kernel + s.out_channels);
+  };
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return weight_count(a) > weight_count(b);
+                   });
+  std::vector<QuantDscLayer> layers(specs.size());
+  util::parallel_for(
+      0, static_cast<std::int64_t>(specs.size()), [&](std::int64_t i) {
+        const std::size_t index = order[static_cast<std::size_t>(i)];
+        FloatDscLayer fl =
+            make_random_float_layer(specs[index], layer_rngs[index]);
+        saturate_bn_shift(fl.bn1, kSyntheticActivationScale);
+        saturate_bn_shift(fl.bn2, kSyntheticActivationScale);
+        layers[index] =
+            quantize_layer(fl, kSyntheticActivationScale,
+                           kSyntheticActivationScale,
+                           kSyntheticActivationScale);
+      });
   return layers;
 }
 

@@ -2,6 +2,7 @@
 
 #include <condition_variable>
 #include <deque>
+#include <exception>
 #include <stdexcept>
 #include <thread>
 
@@ -26,6 +27,57 @@ nn::Int8Tensor random_input(const nn::DscLayerSpec& spec, std::uint64_t seed) {
                            : static_cast<std::int8_t>(rng.uniform_int(0, 127));
   }
   return input;
+}
+
+/// Materializes the workload behind one catalog key. Runs outside the
+/// catalog mutex; the layers build in parallel on the shared pool.
+std::shared_ptr<const WorkloadCatalog::Workload> synthesize_workload(
+    const std::string& network, std::uint64_t seed, int dilation,
+    int depth_multiplier) {
+  // zoo_specs throws PreconditionError for unknown names.
+  std::vector<nn::DscLayerSpec> specs = nn::zoo_specs(network);
+  for (nn::DscLayerSpec& spec : specs) {
+    // Dilation scales the padding along with the taps, so the 'same'
+    // geometry of the zoo layers (k=3, p=1) keeps its output extents.
+    spec.dilation = dilation;
+    spec.padding *= dilation;
+    // Multiplicative: composes with multipliers the geometry already
+    // carries (MobileNetV2 expansion factors).
+    spec.depth_multiplier *= depth_multiplier;
+  }
+  auto workload = std::make_shared<WorkloadCatalog::Workload>();
+  workload->layers = nn::make_random_quant_network(specs, seed);
+  workload->input = random_input(specs.front(), seed);
+  workload->fingerprint =
+      core::network_fingerprint(workload->layers, workload->input);
+  return workload;
+}
+
+/// The catalog key of a request's workload; rejects non-positive
+/// transforms before anything is looked up.
+std::tuple<std::string, std::uint64_t, int, int> catalog_key(
+    const std::string& network, std::uint64_t seed, int dilation,
+    int depth_multiplier) {
+  EDEA_REQUIRE(dilation >= 1, "workload dilation must be >= 1, got " +
+                                  std::to_string(dilation));
+  EDEA_REQUIRE(depth_multiplier >= 1,
+               "workload depth multiplier must be >= 1, got " +
+                   std::to_string(depth_multiplier));
+  return {network, seed, dilation, depth_multiplier};
+}
+
+/// What a workload keeps resident: weights, Non-Conv parameters (fixed
+/// point plus the retained floats) and the input tensor.
+std::size_t workload_bytes(const WorkloadCatalog::Workload& workload) {
+  std::size_t bytes = workload.input.size();
+  for (const nn::QuantDscLayer& layer : workload.layers) {
+    bytes += layer.dwc_weights.size() + layer.pwc_weights.size();
+    for (const nn::NonConvParams* p : {&layer.nonconv1, &layer.nonconv2}) {
+      bytes += p->channel_count() * (sizeof(nn::NonConvChannelParams) +
+                                     2 * sizeof(float));
+    }
+  }
+  return bytes;
 }
 
 /// One reply slot. Ordered mode queues the slot at submit time (reserving
@@ -61,38 +113,119 @@ std::string render_slot(Slot& slot) {
 
 }  // namespace
 
+struct WorkloadCatalog::Entry {
+  /// Null until synthesis finishes; then immutable. The catalog's copy is
+  /// the only one while the workload is unpinned.
+  std::shared_ptr<const Workload> workload;
+  std::exception_ptr error;  ///< synthesis threw (entry already erased)
+  bool done = false;         ///< synthesis finished, either way
+  bool permanent = false;    ///< resolve()d: never evicted, not on lru_
+  std::size_t bytes = 0;
+  std::list<Entries::iterator>::iterator lru;  ///< valid while on lru_
+};
+
+WorkloadCatalog::WorkloadCatalog(SynthesisHook before_synthesis)
+    : before_synthesis_(std::move(before_synthesis)) {}
+
+std::shared_ptr<const WorkloadCatalog::Workload> WorkloadCatalog::acquire(
+    const std::string& network, std::uint64_t seed, int dilation,
+    int depth_multiplier) {
+  return find_or_synthesize(
+      catalog_key(network, seed, dilation, depth_multiplier),
+      /*permanent=*/false);
+}
+
 const WorkloadCatalog::Workload& WorkloadCatalog::resolve(
     const std::string& network, std::uint64_t seed, int dilation,
     int depth_multiplier) {
-  EDEA_REQUIRE(dilation >= 1, "workload dilation must be >= 1, got " +
-                                  std::to_string(dilation));
-  EDEA_REQUIRE(depth_multiplier >= 1,
-               "workload depth multiplier must be >= 1, got " +
-                   std::to_string(depth_multiplier));
+  // The catalog keeps a permanent entry's workload alive on its own.
+  return *find_or_synthesize(
+      catalog_key(network, seed, dilation, depth_multiplier),
+      /*permanent=*/true);
+}
+
+std::size_t WorkloadCatalog::resident_bytes() const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  const auto key = std::make_tuple(network, seed, dilation, depth_multiplier);
-  auto it = workloads_.find(key);
-  if (it == workloads_.end()) {
-    // zoo_specs throws PreconditionError for unknown names - propagated
-    // before anything is inserted.
-    std::vector<nn::DscLayerSpec> specs = nn::zoo_specs(network);
-    for (nn::DscLayerSpec& spec : specs) {
-      // Dilation scales the padding along with the taps, so the 'same'
-      // geometry of the zoo layers (k=3, p=1) keeps its output extents.
-      spec.dilation = dilation;
-      spec.padding *= dilation;
-      // Multiplicative: composes with multipliers the geometry already
-      // carries (MobileNetV2 expansion factors).
-      spec.depth_multiplier *= depth_multiplier;
+  return resident_bytes_;
+}
+
+std::size_t WorkloadCatalog::size() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return entries_.size();
+}
+
+std::shared_ptr<const WorkloadCatalog::Workload>
+WorkloadCatalog::find_or_synthesize(const Key& key, bool permanent) {
+  std::unique_lock<std::mutex> lock(mutex_);
+  for (auto it = entries_.find(key); it != entries_.end();
+       it = entries_.find(key)) {
+    Entry* entry = it->second.get();
+    if (!entry->done) {
+      // Hold the entry across the wait: a failed synthesis erases it.
+      const std::shared_ptr<Entry> in_flight = it->second;
+      synthesized_.wait(lock, [&] { return in_flight->done; });
+      if (in_flight->error) std::rethrow_exception(in_flight->error);
+      continue;  // look again: it may have been evicted meanwhile
     }
-    auto workload = std::make_unique<Workload>();
-    workload->layers = nn::make_random_quant_network(specs, seed);
-    workload->input = random_input(specs.front(), seed);
-    workload->fingerprint =
-        core::network_fingerprint(workload->layers, workload->input);
-    it = workloads_.emplace(key, std::move(workload)).first;
+    // A finished entry still in the map is materialized: failures and
+    // evictions erase theirs.
+    if (!entry->permanent) {
+      if (permanent) {
+        lru_.erase(entry->lru);
+        entry->permanent = true;
+      } else {
+        lru_.splice(lru_.begin(), lru_, entry->lru);  // touch
+      }
+    }
+    return entry->workload;
   }
-  return *it->second;
+
+  // First requester: insert the in-flight entry, synthesize outside the
+  // mutex. Nothing but this thread erases an in-flight entry, so `it`
+  // stays valid while the lock is released.
+  const auto entry = std::make_shared<Entry>();
+  const Entries::iterator it = entries_.emplace(key, entry).first;
+  lock.unlock();
+  const auto& [network, seed, dilation, depth_multiplier] = key;
+  std::shared_ptr<const Workload> workload;
+  try {
+    if (before_synthesis_) before_synthesis_(network, seed);
+    workload =
+        synthesize_workload(network, seed, dilation, depth_multiplier);
+  } catch (...) {
+    lock.lock();
+    entry->error = std::current_exception();
+    entry->done = true;
+    entries_.erase(it);
+    synthesized_.notify_all();
+    throw;
+  }
+
+  lock.lock();
+  entry->workload = workload;
+  entry->bytes = workload_bytes(*workload);
+  entry->done = true;
+  entry->permanent = permanent;
+  if (!permanent) entry->lru = lru_.insert(lru_.begin(), it);
+  resident_bytes_ += entry->bytes;
+  evict_unpinned();
+  synthesized_.notify_all();
+  return workload;
+}
+
+void WorkloadCatalog::evict_unpinned() {
+  // Walk from the least recently used end. use_count() == 1 under the
+  // mutex means no pin exists, and none can appear: every pin is copied
+  // from the entry under this mutex, or from another pin.
+  auto pos = lru_.end();
+  while (resident_bytes_ > kByteBudget && pos != lru_.begin()) {
+    --pos;
+    Entry& entry = *(*pos)->second;
+    if (entry.workload.use_count() > 1) continue;  // pinned
+    resident_bytes_ -= entry.bytes;
+    entries_.erase(*pos);
+    pos = lru_.erase(pos);
+  }
 }
 
 Session::Session(SimulationService& service, WorkloadCatalog& catalog,
@@ -291,8 +424,11 @@ SessionStats Session::serve(Stream& stream) {
         bool slot_queued = false;
         bool counted_outstanding = false;
         try {
-          const WorkloadCatalog::Workload& workload =
-              catalog_.resolve(request.network, request.seed,
+          // The pin travels with the completion callback (and, when
+          // recording, with the recorded job): the service reads
+          // job.layers/job.input until the callback has run.
+          std::shared_ptr<const WorkloadCatalog::Workload> workload =
+              catalog_.acquire(request.network, request.seed,
                                request.dilation, request.depth_multiplier);
           core::SweepJob job;
           job.name = request.job_name();
@@ -301,11 +437,12 @@ SessionStats Session::serve(Stream& stream) {
           job.batch = request.batch;
           job.dilation = request.dilation;
           job.depth_multiplier = request.depth_multiplier;
-          job.layers = &workload.layers;
-          job.input = &workload.input;
-          job.fingerprint = workload.fingerprint;
+          job.layers = &workload->layers;
+          job.input = &workload->input;
+          job.fingerprint = workload->fingerprint;
           if (options_.record_traffic) {
             stats.jobs.push_back(job);
+            stats.workloads.push_back(workload);
             record_index = stats.jobs.size() - 1;
             recorded = true;
             const std::lock_guard<std::mutex> lock(mutex);
@@ -324,8 +461,9 @@ SessionStats Session::serve(Stream& stream) {
             }
           }
           const bool record = recorded;
-          auto callback = [&, slot, framed_unordered, record,
-                           record_index](core::SweepOutcome outcome) {
+          auto callback = [&, slot, framed_unordered, record, record_index,
+                           pin = std::move(workload)](
+                              core::SweepOutcome outcome) {
             {
               const std::lock_guard<std::mutex> lock(mutex);
               // Park the outcome; the writer thread renders the line
@@ -366,6 +504,7 @@ SessionStats Session::serve(Stream& stream) {
                 // No outcome will ever exist - keep jobs/outcomes aligned
                 // for the --verify replay.
                 stats.jobs.pop_back();
+                stats.workloads.pop_back();
                 stats.outcomes.resize(stats.jobs.size());
                 recorded = false;
               }
@@ -391,6 +530,7 @@ SessionStats Session::serve(Stream& stream) {
             const std::lock_guard<std::mutex> lock(mutex);
             if (recorded) {
               stats.jobs.pop_back();
+              stats.workloads.pop_back();
               stats.outcomes.resize(stats.jobs.size());
             }
             if (counted_outstanding) --outstanding;

@@ -21,7 +21,8 @@
 //     their slot; unknown networks answer an error outcome line,
 //   - workload resolution: zoo names materialize through a shared
 //     WorkloadCatalog so duplicate requests across sessions share one
-//     materialized network.
+//     materialized network; each run holds its workload's pin until its
+//     completion callback has run.
 //
 // Concurrency: serve() runs two threads - the calling thread reads,
 // parses, and submits (so independent requests simulate concurrently and
@@ -39,7 +40,10 @@
 // lets CI byte-compare socket sessions against the stdio reference.
 #pragma once
 
+#include <condition_variable>
 #include <cstdint>
+#include <functional>
+#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -57,12 +61,22 @@ namespace edea::service {
 
 class Stream;
 
-/// Thread-safe registry of materialized workloads: the quantized network
-/// and synthetic input behind one (zoo name, seed, dilation,
-/// depth multiplier) tuple. Materialization is deterministic in the key,
-/// happens once per key, and the returned reference stays valid (and
-/// immutable) for the catalog's lifetime - jobs submitted by any session
-/// may point into it.
+/// Thread-safe, byte-bounded registry of materialized workloads: the
+/// quantized network and synthetic input behind one (zoo name, seed,
+/// dilation, depth multiplier) tuple. Materialization is deterministic in
+/// the key, so an evicted workload re-materializes byte-identically.
+///
+/// Concurrency: the catalog mutex only guards finding or inserting a
+/// per-key entry. The first requester of a key synthesizes it outside the
+/// mutex (its layers in parallel on the shared pool); later requesters of
+/// that key wait for that one synthesis, requesters of other keys do not
+/// wait at all. A synthesis that throws hands every waiter the same
+/// exception and leaves no entry behind.
+///
+/// Memory: acquire() returns a pin. Once the resident workloads exceed
+/// kByteBudget, unpinned ones are evicted least recently used first;
+/// pinned ones stay, and a pin keeps its workload alive (and immutable)
+/// even after its entry is evicted.
 class WorkloadCatalog {
  public:
   struct Workload {
@@ -76,24 +90,61 @@ class WorkloadCatalog {
     std::uint64_t fingerprint = 0;
   };
 
-  /// Resolves (materializing on first use). `dilation` is applied to
-  /// every layer of the zoo geometry, scaling its padding along so output
-  /// extents are preserved; `depth_multiplier` multiplies into each
-  /// layer's existing multiplier (so it composes with zoo networks that
-  /// already carry one, e.g. MobileNetV2 expansion factors). Throws
-  /// PreconditionError for names the model zoo cannot resolve or
-  /// non-positive transforms.
+  /// Resident bytes (weights, Non-Conv parameters, inputs) beyond which
+  /// unpinned workloads are evicted: about ten MobileNet-scale networks
+  /// (mobilenet-cifar is 3.4 MB), or ~130 of mobilenet-0.25x.
+  static constexpr std::size_t kByteBudget = std::size_t{32} << 20;
+
+  /// Test seam: called with the key's network and seed on the thread that
+  /// is about to synthesize it, outside the catalog mutex.
+  using SynthesisHook =
+      std::function<void(const std::string& network, std::uint64_t seed)>;
+
+  explicit WorkloadCatalog(SynthesisHook before_synthesis = nullptr);
+
+  /// Resolves (materializing on first use) and pins the workload: it
+  /// stays alive and immutable while any copy of the returned pointer
+  /// does. `dilation` is applied to every layer of the zoo geometry,
+  /// scaling its padding along so output extents are preserved;
+  /// `depth_multiplier` multiplies into each layer's existing multiplier
+  /// (so it composes with zoo networks that already carry one, e.g.
+  /// MobileNetV2 expansion factors). Throws PreconditionError for names
+  /// the model zoo cannot resolve or non-positive transforms.
+  [[nodiscard]] std::shared_ptr<const Workload> acquire(
+      const std::string& network, std::uint64_t seed, int dilation = 1,
+      int depth_multiplier = 1);
+
+  /// acquire() with a permanent pin: the entry is never evicted and the
+  /// reference stays valid for the catalog's lifetime. For callers that
+  /// keep raw references; sessions use acquire().
   [[nodiscard]] const Workload& resolve(const std::string& network,
                                         std::uint64_t seed, int dilation = 1,
                                         int depth_multiplier = 1);
 
+  /// Bytes of the materialized workloads the catalog holds, pinned or
+  /// not. Above kByteBudget only while pins keep it there.
+  [[nodiscard]] std::size_t resident_bytes() const;
+
+  /// Entries the catalog holds, including ones still synthesizing.
+  [[nodiscard]] std::size_t size() const;
+
  private:
-  std::mutex mutex_;
-  /// std::map with unique_ptr values: addresses stay stable across
-  /// inserts while sessions hold references.
-  std::map<std::tuple<std::string, std::uint64_t, int, int>,
-           std::unique_ptr<Workload>>
-      workloads_;
+  using Key = std::tuple<std::string, std::uint64_t, int, int>;
+  struct Entry;
+  using Entries = std::map<Key, std::shared_ptr<Entry>>;
+
+  std::shared_ptr<const Workload> find_or_synthesize(const Key& key,
+                                                     bool permanent);
+  void evict_unpinned();  // requires mutex_
+
+  SynthesisHook before_synthesis_;
+  mutable std::mutex mutex_;
+  std::condition_variable synthesized_;  ///< an in-flight entry finished
+  Entries entries_;
+  /// Evictable (materialized, not permanently pinned) entries, most
+  /// recently used first; eviction walks from the back.
+  std::list<Entries::iterator> lru_;
+  std::size_t resident_bytes_ = 0;
 };
 
 struct SessionOptions {
@@ -143,6 +194,9 @@ struct SessionStats {
   std::uint64_t busy_replies = 0;  ///< runs rejected by admission control
   std::vector<core::SweepJob> jobs;          ///< resolved, submitted jobs
   std::vector<core::SweepOutcome> outcomes;  ///< their outcomes, in order
+  /// The pins of the workloads jobs[i] points into, so a replay after the
+  /// session (the --verify gate) never reads an evicted workload.
+  std::vector<std::shared_ptr<const WorkloadCatalog::Workload>> workloads;
 };
 
 class Session {
