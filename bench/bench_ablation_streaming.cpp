@@ -4,7 +4,7 @@
 //      round trip  -> external activation traffic,
 //   2. parallel dual engines vs serialized DWC-then-PWC -> latency.
 //
-// Both dataflows are driven through the backend registry ("edea" vs
+// Both dataflows are built by core::make_backend ("edea" vs
 // "serialized", core/backend.hpp) on the identical quantized network -
 // outputs are bit-exact across the two (the backend contract), so every
 // difference below is purely architectural.

@@ -1,6 +1,6 @@
 // bench_common.hpp - shared setup for the reproduction benches: builds the
 // synthetic-weight quantized MobileNetV1, runs it through a selected
-// accelerator backend (core/backend.hpp registry), and memoizes the whole
+// accelerator backend (core::make_backend), and memoizes the whole
 // run per (backend, seed) so the ~20 benches (and any bench that consults
 // the result more than once) never redundantly re-simulate the same
 // 13-layer network in one process.
@@ -40,7 +40,7 @@ struct MobileNetRun {
 namespace detail {
 
 /// Builds the network, calibrates on a small synthetic batch, quantizes,
-/// and runs all 13 DSC layers on the `backend` registered under that id
+/// and runs all 13 DSC layers on the backend with id `backend`
 /// (core/backend.hpp). `tile_parallelism` splits each layer's buffer
 /// tiles over that many shared-pool workers; the result is bit-identical
 /// at every width (the simulator's contract, enforced by

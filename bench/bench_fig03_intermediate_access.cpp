@@ -6,7 +6,7 @@
 // Two views are printed:
 //   1. the analytic footprint model (matches the paper's numbers exactly),
 //   2. traffic measured by the cycle simulator - both dataflows run
-//      through the backend registry ("edea" vs "serialized",
+//      through core::make_backend ("edea" vs "serialized",
 //      core/backend.hpp) on the identical quantized network, which
 //      includes halo re-fetches at tile borders.
 #include <iostream>
@@ -51,7 +51,7 @@ int main() {
   std::cout << "\n=== Fig. 3 (simulated): external activation traffic, "
                "EDEA vs serialized baseline ===\n";
   {
-    // Both dataflows run through the one registry path on the identical
+    // Both dataflows run through the one make_backend path on the identical
     // quantized network; the baseline chains its own layer outputs inside
     // run_network, so per-layer rows align index for index.
     const bench::MobileNetRun& run = bench::run_mobilenet_on_backend("edea");

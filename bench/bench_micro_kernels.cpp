@@ -80,9 +80,9 @@ void BM_PwcEngineStep(benchmark::State& state) {
 }
 BENCHMARK(BM_PwcEngineStep);
 
-// --- kernel-dispatch fast paths: specialized vs generic, per shape --------
+// --- kernel-table fast paths: specialized vs generic, per shape -----------
 //
-// One engine step per hot shape, once through the dispatch registry's
+// One engine step per hot shape, once through the kernel table's
 // specialized kernel (kAuto) and once forced onto the generic reference
 // loops (kForceGeneric). Both variants are bit-identical in outputs and
 // MacActivity (tests/kernel_dispatch_test.cpp, differential_test.cpp);
@@ -278,7 +278,7 @@ BENCHMARK(BM_AcceleratorLayer);
 
 // --- backend-level network runs: the dataflow dimension -------------------
 //
-// One small DSC layer through each registered backend via the registry -
+// One small DSC layer through each backend via make_backend() -
 // what a cross-backend sweep pays per design point. The serialized
 // baseline simulates *more* modeled work (the external round trip), so
 // its host cost differs from EDEA's; docs/BENCHMARKS.md records both.

@@ -3,8 +3,8 @@
 // normalization, plus the advantage multipliers the paper quotes. The
 // "This Work (simulated)" row is derived live from the cycle simulator
 // and the calibrated power/area models, and a closing section pits the
-// two in-tree dataflows ("edea" vs "serialized", both through the backend
-// registry) against each other on the identical workload - the
+// two in-tree dataflows ("edea" vs "serialized", both built by
+// core::make_backend) against each other on the identical workload - the
 // architectural half of the paper's comparison, isolated.
 #include <iostream>
 
@@ -88,7 +88,7 @@ int main() {
                "6.29x/7.79x/6.58x/3.23x normalized area efficiency.\n";
 
   // --- dataflow ablation row: EDEA vs the serialized baseline, both
-  // simulated through the backend registry on the identical network ------
+  // built by core::make_backend on the identical network ---------------
   const bench::MobileNetRun& slow = bench::run_mobilenet_on_backend(
       "serialized");
   std::int64_t fast_cycles = 0, slow_cycles = 0;

@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
             << TextTable::percent(totals.reduction(), 1)
             << " of external activation accesses on this network\n";
 
-  // The dataflow dimension: simulate the network on every registered
+  // The dataflow dimension: simulate the network on every known
   // backend (EDEA vs the serialized baseline) at the selected config.
   std::cout << "\n=== cross-backend sweep (simulated, seed 1) ===\n";
   const dse::BackendSweepResult backends =

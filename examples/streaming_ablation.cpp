@@ -2,7 +2,7 @@
 // what the direct DWC->PWC data transfer and the parallel dual engines
 // buy, on one layer, with full statistics from both architectures.
 //
-// Both architectures are instantiated by id through the backend registry
+// Both architectures are instantiated by id through core::make_backend
 // (core/backend.hpp) - the same selection path sweeps, the DSE, and the
 // simulation service use - so this example doubles as the smallest
 // possible cross-backend experiment: one layer, two dataflows, bit-exact

@@ -261,8 +261,7 @@ SerializedLayerResult SerializedDscAccelerator::run_layer_into(
             }
           }
 
-          dwc_.step_into(window, spec.stride, spec.dilation,
-                         spec.depth_multiplier, out);
+          dwc_.step_into(window, spec.stride, spec.dilation, out);
           result.dwc_phase_cycles += 1;
           result.common.timing.dwc_active_cycles += 1;
 
@@ -356,7 +355,7 @@ SerializedLayerResult SerializedDscAccelerator::run_layer_into(
             const KernelGroup& group = groups[g];
             core::PwcStepInput& pin = group_inputs[g];
             pin.activations = acts;
-            pwc_.step_into(pin, spec.depth_multiplier, pout);
+            pwc_.step_into(pin, pout);
             result.pwc_phase_cycles += 1;
             result.common.timing.pwc_active_cycles += 1;
 

@@ -37,7 +37,7 @@ struct SerializedLayerResult {
   std::int64_t intermediate_external_reads = 0;   ///< N*M*(D*mult)
 };
 
-/// The "serialized" entry of the backend registry (core/backend.hpp):
+/// The "serialized" entry of the backend table (core/backend.hpp):
 /// a full-network accelerator model of the comparison architecture.
 /// run_layer remains available for single-layer studies that want the
 /// phase-split extras of SerializedLayerResult.
@@ -72,7 +72,7 @@ class SerializedDscAccelerator final : public core::AcceleratorBackend {
     return tile_parallelism_;
   }
 
-  /// Pins both engines' kernel selection (KernelDispatch A/B lever);
+  /// Pins both engines' kernel selection (the kernel-table A/B lever);
   /// results and counters are bit-identical either way.
   void set_kernel_policy(core::KernelPolicy policy) override {
     dwc_.set_kernel_policy(policy);

@@ -4,7 +4,6 @@
 
 #include "nn/arena.hpp"
 #include "util/check.hpp"
-#include "util/logging.hpp"
 #include "util/thread_pool.hpp"
 
 namespace edea::core {
@@ -138,7 +137,7 @@ class TileWorker {
   [[nodiscard]] const DwcEngine& dwc() const noexcept { return dwc_; }
   [[nodiscard]] const PwcEngine& pwc() const noexcept { return pwc_; }
 
-  /// Pins both engines' kernel selection (KernelDispatch A/B lever).
+  /// Pins both engines' kernel selection (the kernel-table A/B lever).
   void set_kernel_policy(KernelPolicy policy) noexcept {
     dwc_.set_kernel_policy(policy);
     pwc_.set_kernel_policy(policy);
@@ -369,8 +368,9 @@ class TileWorker {
         fetch_window(tile, slice, image_rows, image_cols, out_r0, out_c0,
                      stride, spec.padding, spec.dilation,
                      spec.depth_multiplier);
-        dwc_.step_into(window_, stride, spec.dilation, spec.depth_multiplier,
-                       dwc_out_);
+        // fetch_window has already folded the depth multiplier into the
+        // window, so the engine (and its kernel table) never sees it.
+        dwc_.step_into(window_, stride, spec.dilation, dwc_out_);
         const DwcStepOutput& dwc_out = dwc_out_;
         partial_.timing.dwc_active_cycles += 1;
         if (trace != nullptr && step_index < 4) {
@@ -430,7 +430,7 @@ class TileWorker {
             partial_.buffers.pwc_weight.record_read(n, n);
           }
 
-          pwc_.step_into(pin, spec.depth_multiplier, pwc_out_);
+          pwc_.step_into(pin, pwc_out_);
           const PwcStepOutput& pout = pwc_out_;
           partial_.timing.pwc_active_cycles += 1;
           if (trace != nullptr && step_index < 2 && group.kernel0 == 0) {

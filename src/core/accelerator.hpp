@@ -45,7 +45,7 @@ namespace detail {
 class TileWorker;  // per-worker engine/buffer/counter state (accelerator.cpp)
 }
 
-/// The "edea" entry of the backend registry (core/backend.hpp).
+/// The "edea" entry of the backend table (core/backend.hpp).
 class EdeaAccelerator final : public AcceleratorBackend {
  public:
   explicit EdeaAccelerator(EdeaConfig config = EdeaConfig::paper());
@@ -130,7 +130,7 @@ class EdeaAccelerator final : public AcceleratorBackend {
 
   EdeaConfig config_;
   int tile_parallelism_ = 1;
-  KernelPolicy kernel_policy_ = KernelDispatch::default_policy();
+  KernelPolicy kernel_policy_ = KernelPolicy::kAuto;
   std::vector<std::unique_ptr<detail::TileWorker>> workers_;
   PipelineTrace* trace_ = nullptr;
 };

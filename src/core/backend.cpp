@@ -1,10 +1,7 @@
 #include "core/backend.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <map>
-#include <mutex>
-#include <utility>
+#include <array>
 
 #include "baseline/serialized_accelerator.hpp"
 #include "core/accelerator.hpp"
@@ -14,33 +11,11 @@ namespace edea::core {
 
 namespace {
 
-struct Registry {
-  std::mutex mutex;
-  /// std::map keeps ids sorted, so backend_ids() needs no extra sort.
-  std::map<std::string, BackendFactory> factories;
-};
-
-/// The process-wide registry, seeded with the two in-tree backends on
-/// first use. Seeding here (not via static registrar objects) means a
-/// static-library link can never silently drop a backend, and there is no
-/// static-initialization-order dependency between translation units.
-Registry& registry() {
-  static Registry* r = [] {
-    auto* reg = new Registry();
-    reg->factories.emplace(
-        std::string(kDefaultBackendId),
-        [](const EdeaConfig& config) -> std::unique_ptr<AcceleratorBackend> {
-          return std::make_unique<EdeaAccelerator>(config);
-        });
-    reg->factories.emplace(
-        "serialized",
-        [](const EdeaConfig& config) -> std::unique_ptr<AcceleratorBackend> {
-          return std::make_unique<baseline::SerializedDscAccelerator>(config);
-        });
-    return reg;
-  }();
-  return *r;
-}
+/// Every backend id, sorted. make_backend() has one branch per entry.
+constexpr std::array<std::string_view, 2> kBackendIds = {kDefaultBackendId,
+                                                         "serialized"};
+static_assert(std::ranges::is_sorted(kBackendIds),
+              "backend_ids() and the diagnostics promise sorted ids");
 
 }  // namespace
 
@@ -57,23 +32,17 @@ std::vector<NetworkRunResult> AcceleratorBackend::run_network_batch(
 }
 
 bool backend_known(const std::string& id) {
-  Registry& r = registry();
-  const std::lock_guard<std::mutex> lock(r.mutex);
-  return r.factories.find(id) != r.factories.end();
+  return std::find(kBackendIds.begin(), kBackendIds.end(), id) !=
+         kBackendIds.end();
 }
 
 std::vector<std::string> backend_ids() {
-  Registry& r = registry();
-  const std::lock_guard<std::mutex> lock(r.mutex);
-  std::vector<std::string> ids;
-  ids.reserve(r.factories.size());
-  for (const auto& [id, factory] : r.factories) ids.push_back(id);
-  return ids;
+  return {kBackendIds.begin(), kBackendIds.end()};
 }
 
 std::string known_backends_string() {
   std::string out;
-  for (const std::string& id : backend_ids()) {
+  for (const std::string_view id : kBackendIds) {
     if (!out.empty()) out += ", ";
     out += id;
   }
@@ -82,32 +51,10 @@ std::string known_backends_string() {
 
 std::unique_ptr<AcceleratorBackend> make_backend(const std::string& id,
                                                  const EdeaConfig& config) {
-  BackendFactory factory;
-  {
-    Registry& r = registry();
-    const std::lock_guard<std::mutex> lock(r.mutex);
-    auto it = r.factories.find(id);
-    if (it != r.factories.end()) factory = it->second;
-  }
-  EDEA_REQUIRE(factory != nullptr, "unknown backend '" + id + "' (known: " +
+  if (id == kDefaultBackendId) return std::make_unique<EdeaAccelerator>(config);
+  EDEA_REQUIRE(id == "serialized", "unknown backend '" + id + "' (known: " +
                                        known_backends_string() + ")");
-  std::unique_ptr<AcceleratorBackend> backend = factory(config);
-  EDEA_ASSERT(backend != nullptr,
-              "backend factory for '" + id + "' returned null");
-  return backend;
-}
-
-bool register_backend(const std::string& id, BackendFactory factory) {
-  EDEA_REQUIRE(!id.empty(), "backend id must be non-empty");
-  EDEA_REQUIRE(std::none_of(id.begin(), id.end(),
-                            [](unsigned char c) { return std::isspace(c); }),
-               "backend id '" + id +
-                   "' must not contain whitespace (ids travel through the "
-                   "key=value line protocol)");
-  EDEA_REQUIRE(factory != nullptr, "backend factory must be callable");
-  Registry& r = registry();
-  const std::lock_guard<std::mutex> lock(r.mutex);
-  return r.factories.insert_or_assign(id, std::move(factory)).second;
+  return std::make_unique<baseline::SerializedDscAccelerator>(config);
 }
 
 }  // namespace edea::core

@@ -5,7 +5,7 @@
 // round-trips intermediates through external memory (Fig. 3, Table III).
 // "Which dataflow" is therefore an experimental dimension, not a constant
 // - every layer of the stack (SweepRunner, dse, the simulation service,
-// benches) selects a backend by string id through the registry below
+// benches) selects a backend by string id through make_backend() below
 // instead of hard-instantiating EdeaAccelerator.
 //
 // Contract every backend must honor (tests/backend_test.cpp):
@@ -19,8 +19,7 @@
 //     results (a backend without a host-parallel implementation runs
 //     serially at every width; one with it must be bit-identical).
 //
-// Two backends ship in-tree, registered eagerly by the registry itself so
-// static-library link order can never drop them:
+// The paper compares exactly two dataflows, so the id table is fixed:
 //   "edea"        the dual-engine accelerator with direct data transfer
 //                 (core::EdeaAccelerator - the paper's architecture),
 //   "serialized"  the comparison architecture: serial DWC-then-PWC phases
@@ -28,7 +27,6 @@
 //                 external memory (baseline::SerializedDscAccelerator).
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -76,50 +74,39 @@ class AcceleratorBackend {
   virtual void set_tile_parallelism(int parallelism) = 0;
   [[nodiscard]] virtual int tile_parallelism() const noexcept = 0;
 
-  /// Engine inner-loop kernel selection (core::KernelDispatch):
+  /// Engine inner-loop kernel selection (core/kernel_dispatch.hpp):
   /// kForceGeneric pins the generic reference kernels, kAuto lets hot
   /// shapes run their specialized implementations. Either way results and
   /// every counter are bit-identical - the knob exists for A/B testing,
   /// which is why the base implementation is a no-op (a backend that runs
-  /// no dispatchable engine has nothing to pin).
+  /// no table-selected engine has nothing to pin).
   virtual void set_kernel_policy(KernelPolicy policy) { (void)policy; }
 
   /// The configuration this backend instance was built from.
   [[nodiscard]] virtual const EdeaConfig& config() const noexcept = 0;
 
-  /// The registry id this backend answers to ("edea", "serialized", ...).
+  /// The id this backend answers to ("edea" or "serialized").
   [[nodiscard]] virtual std::string_view backend_id() const noexcept = 0;
 };
 
-/// Builds a fresh backend instance for one simulation job. Instances carry
-/// per-run state (SRAM, counters) and must never be shared across threads
-/// - exactly the EdeaAccelerator rule, now per backend.
-using BackendFactory =
-    std::function<std::unique_ptr<AcceleratorBackend>(const EdeaConfig&)>;
-
-/// True iff `id` resolves in the registry. The cheap guard protocol
-/// parsers and CLI validators use to reject unknown ids up front.
+/// True iff `id` names a backend. The cheap guard protocol parsers and CLI
+/// validators use to reject unknown ids up front.
 [[nodiscard]] bool backend_known(const std::string& id);
 
-/// Every registered backend id, sorted - stable across processes, so
-/// error messages and --help listings are deterministic.
+/// Every backend id, sorted - stable across processes, so error messages
+/// and --help listings are deterministic.
 [[nodiscard]] std::vector<std::string> backend_ids();
 
-/// "edea, serialized, ..." - the sorted id list as one human-readable
+/// "edea, serialized" - the sorted id list as one human-readable
 /// string, for "unknown backend" diagnostics.
 [[nodiscard]] std::string known_backends_string();
 
-/// Instantiates the backend registered under `id` with `config`. Throws
-/// PreconditionError for unknown ids (naming the known ones); any
-/// configuration problem is the backend constructor's to raise.
+/// Builds a fresh backend instance `id` with `config` for one simulation
+/// job. Instances carry per-run state (SRAM, counters) and must never be
+/// shared across threads. Throws PreconditionError for unknown ids (naming
+/// the known ones); any configuration problem is the backend constructor's
+/// to raise. Adding a dataflow is one branch here plus its id in the table.
 [[nodiscard]] std::unique_ptr<AcceleratorBackend> make_backend(
     const std::string& id, const EdeaConfig& config = EdeaConfig::paper());
-
-/// Registers (or replaces) a backend factory under `id`. The two in-tree
-/// backends are pre-registered; embedders can add their own dataflows and
-/// every sweep/DSE/service path picks them up by id. Empty ids and ids
-/// with whitespace are rejected (they could not travel through the
-/// key=value line protocol). Returns true when `id` was new.
-bool register_backend(const std::string& id, BackendFactory factory);
 
 }  // namespace edea::core

@@ -21,24 +21,8 @@ void DwcEngine::load_weights(const std::vector<std::int8_t>& weights,
   weight_channels_ = channels;
 }
 
-KernelShapeKey DwcEngine::shape_key(int stride, int dilation,
-                                    int depth_multiplier) const noexcept {
-  KernelShapeKey key;
-  key.family = OpFamily::kDwc;
-  key.kernel = config_.kernel;
-  key.stride = stride;
-  key.dilation = dilation;
-  key.depth_multiplier = depth_multiplier;
-  return key;
-}
-
-void DwcEngine::set_kernel_policy(KernelPolicy policy) noexcept {
-  policy_ = policy;
-  cached_fn_ = nullptr;
-}
-
 void DwcEngine::run_step(const DwcWindow& window, int stride, int dilation,
-                         DwcKernelFn fn, arch::MacActivity& activity,
+                         arch::MacActivity& activity,
                          DwcStepOutput& out) const {
   EDEA_REQUIRE(stride == 1 || stride == 2, "DWC stride must be 1 or 2");
   EDEA_REQUIRE(dilation >= 1, "DWC dilation must be >= 1");
@@ -67,7 +51,7 @@ void DwcEngine::run_step(const DwcWindow& window, int stride, int dilation,
   args.dilation = dilation;
   args.acc = out.acc.data();
   args.activity = &activity;
-  fn(args);
+  dwc_kernel_for(policy_, k, stride, dilation)(args);
 
   // Lanes belonging to channels absent from this slice idle this cycle
   // (never happens for MobileNetV1, whose channel counts are multiples of
@@ -79,36 +63,22 @@ void DwcEngine::run_step(const DwcWindow& window, int stride, int dilation,
 }
 
 DwcStepOutput DwcEngine::step(const DwcWindow& window, int stride,
-                              int dilation, int depth_multiplier) {
+                              int dilation) {
   DwcStepOutput out;
-  step_into(window, stride, dilation, depth_multiplier, out);
+  step_into(window, stride, dilation, out);
   return out;
 }
 
 void DwcEngine::step_into(const DwcWindow& window, int stride, int dilation,
-                          int depth_multiplier, DwcStepOutput& out) {
-  DwcKernelFn fn = &generic_dwc_kernel;
-  if (policy_ != KernelPolicy::kForceGeneric) {
-    const KernelShapeKey key = shape_key(stride, dilation, depth_multiplier);
-    if (cached_fn_ == nullptr || !(cached_key_ == key)) {
-      cached_key_ = key;
-      cached_fn_ = KernelDispatch::instance().find_dwc(key);
-    }
-    fn = cached_fn_;
-  }
-  run_step(window, stride, dilation, fn, activity_, out);
+                          DwcStepOutput& out) {
+  run_step(window, stride, dilation, activity_, out);
 }
 
 DwcStepOutput DwcEngine::step(const DwcWindow& window, int stride,
-                              int dilation, int depth_multiplier,
+                              int dilation,
                               arch::MacActivity& activity) const {
-  const DwcKernelFn fn =
-      policy_ == KernelPolicy::kForceGeneric
-          ? &generic_dwc_kernel
-          : KernelDispatch::instance().find_dwc(
-                shape_key(stride, dilation, depth_multiplier));
   DwcStepOutput out;
-  run_step(window, stride, dilation, fn, activity, out);
+  run_step(window, stride, dilation, activity, out);
   return out;
 }
 

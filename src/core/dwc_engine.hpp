@@ -8,11 +8,11 @@
 // single cycle (the adder tree is pipelined; latency is absorbed in the
 // 9-cycle initiation of Fig. 7).
 //
-// The arithmetic inner loop is resolved through core::KernelDispatch: hot
-// shapes (3x3 stride-1/2 at dilation 1) run hand-specialized kernels,
-// everything else the generic reference path. Both are bit-identical in
-// outputs and MacActivity; set_kernel_policy(kForceGeneric) or the
-// EDEA_FORCE_GENERIC_KERNELS env var pin the generic path for A/B runs.
+// The arithmetic inner loop comes from the kernel table
+// (core::dwc_kernel_for): hot shapes (3x3 stride-1/2 at dilation 1) run
+// hand-specialized kernels, everything else the generic reference path.
+// Both are bit-identical in outputs and MacActivity;
+// set_kernel_policy(kForceGeneric) pins the generic path for A/B runs.
 #pragma once
 
 #include <cstdint>
@@ -60,35 +60,31 @@ class DwcEngine {
   /// One engine cycle: computes Tn x Tm outputs for every loaded channel.
   /// `stride` and `dilation` select the window geometry ((Tn-1)*stride +
   /// (kernel-1)*dilation + 1 square): 4x4 at s=1/d=1, 5x5 at s=2/d=1,
-  /// wider for dilated kernels whose taps sit `dilation` apart.
-  /// `depth_multiplier` does not change the arithmetic (window builders
-  /// fold the multiplier); it is a dispatch-key component only, letting a
-  /// registered exact-multiplier kernel win over the wildcard.
+  /// wider for dilated kernels whose taps sit `dilation` apart. The depth
+  /// multiplier never reaches the engine: window builders fold it.
   [[nodiscard]] DwcStepOutput step(const DwcWindow& window, int stride,
-                                   int dilation = 1, int depth_multiplier = 1);
+                                   int dilation = 1);
 
   /// The same step, written into a caller-owned `out` whose storage is
   /// reused across calls (the accelerator's per-step loop allocates
   /// nothing). Outputs and activity are identical to step().
   void step_into(const DwcWindow& window, int stride, int dilation,
-                 int depth_multiplier, DwcStepOutput& out);
+                 DwcStepOutput& out);
 
   /// Reentrant step: same arithmetic, but activity is tallied into the
-  /// caller-supplied sink instead of the engine's own counter and the
-  /// kernel lookup bypasses the engine-local cache. Safe to call
+  /// caller-supplied sink instead of the engine's own counter. Safe to call
   /// concurrently from multiple threads on one engine (each caller owns
   /// its sink; kernels keep all scratch on the stack).
   [[nodiscard]] DwcStepOutput step(const DwcWindow& window, int stride,
-                                   int dilation, int depth_multiplier,
+                                   int dilation,
                                    arch::MacActivity& activity) const;
 
   /// One idle cycle (engine clocked, no work) - happens while the PWC
   /// engine drains kernel groups; feeds the duty factor of the power model.
   void idle_cycle();
 
-  /// Pins (or unpins) the generic reference kernels; resets the cached
-  /// dispatch resolution. Default is KernelDispatch::default_policy().
-  void set_kernel_policy(KernelPolicy policy) noexcept;
+  /// Pins (or unpins) the generic reference kernels. Default is kAuto.
+  void set_kernel_policy(KernelPolicy policy) noexcept { policy_ = policy; }
   [[nodiscard]] KernelPolicy kernel_policy() const noexcept { return policy_; }
 
   [[nodiscard]] const arch::MacActivity& activity() const noexcept {
@@ -107,20 +103,15 @@ class DwcEngine {
   [[nodiscard]] int pe_count() const noexcept { return config_.td; }
 
  private:
-  [[nodiscard]] KernelShapeKey shape_key(int stride, int dilation,
-                                         int depth_multiplier) const noexcept;
   void run_step(const DwcWindow& window, int stride, int dilation,
-                DwcKernelFn fn, arch::MacActivity& activity,
-                DwcStepOutput& out) const;
+                arch::MacActivity& activity, DwcStepOutput& out) const;
 
   EdeaConfig config_;
   arch::AdderTree tree_;
   std::vector<std::int8_t> weights_;  ///< [kh][kw][channel]
   int weight_channels_ = 0;
   arch::MacActivity activity_;
-  KernelPolicy policy_ = KernelDispatch::default_policy();
-  KernelShapeKey cached_key_;
-  DwcKernelFn cached_fn_ = nullptr;  ///< resolved for cached_key_, or null
+  KernelPolicy policy_ = KernelPolicy::kAuto;
 };
 
 }  // namespace edea::core

@@ -1,11 +1,8 @@
 #include "core/kernel_dispatch.hpp"
 
-#include <cstdlib>
-#include <map>
-#include <mutex>
+#include <vector>
 
 #include "arch/pe.hpp"
-#include "util/check.hpp"
 
 namespace edea::core {
 
@@ -168,129 +165,23 @@ void pwc1x1_kernel(const PwcKernelArgs& a) {
   a.activity->zero_operand_macs += zero_acts * a.kernels;
 }
 
-void validate_key(const KernelShapeKey& key) {
-  EDEA_REQUIRE(key.kernel > 0 && key.kernel % 2 == 1,
-               "kernel extent must be positive and odd");
-  EDEA_REQUIRE(key.family != OpFamily::kPwc || key.kernel == 1,
-               "PWC kernels are 1x1 by definition");
-  EDEA_REQUIRE(key.stride == 1 || key.stride == 2, "stride must be 1 or 2");
-  EDEA_REQUIRE(key.dilation >= 1, "dilation must be >= 1");
-  EDEA_REQUIRE(key.depth_multiplier >= 0,
-               "depth_multiplier must be >= 1, or 0 for the wildcard");
-}
-
 }  // namespace
 
-std::string KernelShapeKey::to_string() const {
-  return std::string(family == OpFamily::kDwc ? "dwc" : "pwc") +
-         " k=" + std::to_string(kernel) + " s=" + std::to_string(stride) +
-         " d=" + std::to_string(dilation) + " m=" +
-         (depth_multiplier == 0 ? std::string("any")
-                                : std::to_string(depth_multiplier));
-}
-
 // ---------------------------------------------------------------------------
-// Registry.
+// The table.
 // ---------------------------------------------------------------------------
 
-struct KernelDispatch::Impl {
-  mutable std::mutex mutex;
-  std::map<KernelShapeKey, std::pair<DwcKernelFn, std::string>> dwc;
-  std::map<KernelShapeKey, std::pair<PwcKernelFn, std::string>> pwc;
-};
-
-KernelDispatch::KernelDispatch() : impl_(new Impl) {
-  // Built-ins registered in-registry (not from a static elsewhere) so
-  // static-library link order can never drop a fast path. All wildcard
-  // the depth multiplier: the engine-level math is multiplier-invariant.
-  KernelShapeKey key;
-  key.family = OpFamily::kDwc;
-  key.kernel = 3;
-  key.dilation = 1;
-  key.depth_multiplier = 0;
-  key.stride = 1;
-  register_dwc(key, &dwc3x3_kernel<1>, "dwc3x3_s1_rowsum");
-  key.stride = 2;
-  register_dwc(key, &dwc3x3_kernel<2>, "dwc3x3_s2_rowsum");
-  key.family = OpFamily::kPwc;
-  key.kernel = 1;
-  key.stride = 1;
-  register_pwc(key, &pwc1x1_kernel, "pwc1x1_dot");
-}
-
-KernelDispatch& KernelDispatch::instance() {
-  static KernelDispatch dispatch;
-  return dispatch;
-}
-
-void KernelDispatch::register_dwc(const KernelShapeKey& key, DwcKernelFn fn,
-                                  std::string label) {
-  EDEA_REQUIRE(key.family == OpFamily::kDwc,
-               "register_dwc key must have family kDwc");
-  EDEA_REQUIRE(fn != nullptr, "kernel function must be non-null");
-  validate_key(key);
-  std::lock_guard<std::mutex> lock(impl_->mutex);
-  impl_->dwc[key] = {fn, std::move(label)};
-}
-
-void KernelDispatch::register_pwc(const KernelShapeKey& key, PwcKernelFn fn,
-                                  std::string label) {
-  EDEA_REQUIRE(key.family == OpFamily::kPwc,
-               "register_pwc key must have family kPwc");
-  EDEA_REQUIRE(fn != nullptr, "kernel function must be non-null");
-  validate_key(key);
-  std::lock_guard<std::mutex> lock(impl_->mutex);
-  impl_->pwc[key] = {fn, std::move(label)};
-}
-
-DwcKernelFn KernelDispatch::find_dwc(const KernelShapeKey& key) const {
-  std::lock_guard<std::mutex> lock(impl_->mutex);
-  auto it = impl_->dwc.find(key);
-  if (it == impl_->dwc.end() && key.depth_multiplier != 0) {
-    KernelShapeKey wildcard = key;
-    wildcard.depth_multiplier = 0;
-    it = impl_->dwc.find(wildcard);
+DwcKernelFn dwc_kernel_for(KernelPolicy policy, int kernel, int stride,
+                           int dilation) noexcept {
+  if (policy == KernelPolicy::kAuto && kernel == 3 && dilation == 1) {
+    if (stride == 1) return &dwc3x3_kernel<1>;
+    if (stride == 2) return &dwc3x3_kernel<2>;
   }
-  return it == impl_->dwc.end() ? &generic_dwc_kernel : it->second.first;
+  return &generic_dwc_kernel;
 }
 
-PwcKernelFn KernelDispatch::find_pwc(const KernelShapeKey& key) const {
-  std::lock_guard<std::mutex> lock(impl_->mutex);
-  auto it = impl_->pwc.find(key);
-  if (it == impl_->pwc.end() && key.depth_multiplier != 0) {
-    KernelShapeKey wildcard = key;
-    wildcard.depth_multiplier = 0;
-    it = impl_->pwc.find(wildcard);
-  }
-  return it == impl_->pwc.end() ? &generic_pwc_kernel : it->second.first;
-}
-
-bool KernelDispatch::has_specialization(const KernelShapeKey& key) const {
-  return key.family == OpFamily::kDwc ? find_dwc(key) != &generic_dwc_kernel
-                                      : find_pwc(key) != &generic_pwc_kernel;
-}
-
-std::vector<std::string> KernelDispatch::registered_shapes() const {
-  std::lock_guard<std::mutex> lock(impl_->mutex);
-  std::vector<std::string> shapes;
-  shapes.reserve(impl_->dwc.size() + impl_->pwc.size());
-  for (const auto& [key, entry] : impl_->dwc) {
-    shapes.push_back(key.to_string() + " -> " + entry.second);
-  }
-  for (const auto& [key, entry] : impl_->pwc) {
-    shapes.push_back(key.to_string() + " -> " + entry.second);
-  }
-  return shapes;
-}
-
-KernelPolicy KernelDispatch::default_policy() {
-  static const KernelPolicy policy = [] {
-    const char* env = std::getenv("EDEA_FORCE_GENERIC_KERNELS");
-    const bool forced =
-        env != nullptr && *env != '\0' && std::string(env) != "0";
-    return forced ? KernelPolicy::kForceGeneric : KernelPolicy::kAuto;
-  }();
-  return policy;
+PwcKernelFn pwc_kernel_for(KernelPolicy policy) noexcept {
+  return policy == KernelPolicy::kAuto ? &pwc1x1_kernel : &generic_pwc_kernel;
 }
 
 }  // namespace edea::core

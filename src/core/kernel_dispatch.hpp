@@ -1,17 +1,19 @@
 // kernel_dispatch.hpp - shape-specialized fast-path kernels for the two
-// engine inner loops, behind a registry with the generic path as fallback.
+// engine inner loops, selected from a fixed table with the generic path as
+// fallback.
 //
 // The simulator's arithmetic hot path is the five nested loops of
 // DwcEngine::step (ch x ty x tx x k x k) and the four of PwcEngine::step -
 // fully generic, one virtual-free but heavily abstracted MAC at a time
 // (MacLane call, member scratch write, AdderTree pairwise sum). For every
 // sweep, DSE run, and service cache miss those loops are the wall clock.
-// This registry lets a hot (op family, kernel, stride, dilation,
-// depth_multiplier) shape select a hand-specialized implementation with
-// unrolled, compiler-vectorizable accumulator loops, while every other
-// shape falls back to the generic reference implementation.
+// The silicon has exactly two datapaths - a 3x3 DWC engine and a 1x1 PWC
+// engine - so the table is two functions: dwc_kernel_for() hands the hot
+// 3x3 shapes a hand-specialized implementation with unrolled,
+// compiler-vectorizable accumulator loops and every other shape the generic
+// reference, and pwc_kernel_for() always hands out the 1x1 dot product.
 //
-// The contract every registered kernel must honor (pinned by
+// The contract every table entry must honor (pinned by
 // tests/kernel_dispatch_test.cpp and the differential harness's
 // specialized-vs-forced-generic axis):
 //   1. bit-identical accumulators to the generic path. All sums are int32
@@ -22,52 +24,25 @@
 //     whose activation operand is zero. Specialized kernels may tally in
 //     bulk; the totals must match the generic per-multiply tallies.
 // Cycle/energy/access counters live above the kernel boundary (in the
-// engines and tile workers) and are untouched by dispatch, so a
+// engines and tile workers) and are untouched by kernel selection, so a
 // specialized run's every counter stays bit-identical to generic.
 //
 // Escape hatch: KernelPolicy::kForceGeneric (per engine / accelerator,
 // reachable through AcceleratorBackend::set_kernel_policy) pins the
-// generic path for A/B tests, and the EDEA_FORCE_GENERIC_KERNELS
-// environment variable flips the process-wide default - the lever the
-// micro-bench matrix and bit-identity suites use.
+// generic path for A/B tests and the micro-bench speedup gate.
 #pragma once
 
-#include <compare>
 #include <cstdint>
-#include <string>
-#include <vector>
 
 #include "arch/counters.hpp"
 
 namespace edea::core {
 
-/// Which engine inner loop a kernel implements.
-enum class OpFamily : int { kDwc = 0, kPwc = 1 };
-
 /// Kernel implementation policy of an engine (or a whole accelerator):
-/// kAuto consults the KernelDispatch registry, kForceGeneric pins the
-/// generic reference path (the A/B escape hatch). The process default is
-/// kAuto unless EDEA_FORCE_GENERIC_KERNELS is set in the environment.
+/// kAuto takes the kernel table's entry for the shape, kForceGeneric pins
+/// the generic reference path (the A/B escape hatch). Engines default to
+/// kAuto.
 enum class KernelPolicy : int { kAuto = 0, kForceGeneric = 1 };
-
-/// Registry key: the loop-shape parameters a specialization is allowed to
-/// assume. `depth_multiplier` 0 is the "any multiplier" wildcard - the
-/// engine-level arithmetic is multiplier-invariant (the window/weight
-/// builders fold the multiplier before the engines run), so the built-in
-/// kernels register wildcarded; an exact-multiplier entry, when present,
-/// wins over the wildcard.
-struct KernelShapeKey {
-  OpFamily family = OpFamily::kDwc;
-  int kernel = 3;            ///< kernel extent (1 for PWC)
-  int stride = 1;            ///< spatial stride (1 for PWC)
-  int dilation = 1;          ///< kernel tap pitch (1 for PWC)
-  int depth_multiplier = 0;  ///< exact multiplier, or 0 = any
-
-  friend auto operator<=>(const KernelShapeKey&,
-                          const KernelShapeKey&) = default;
-
-  [[nodiscard]] std::string to_string() const;
-};
 
 /// Operands of one DWC engine step, as raw spans: everything the inner
 /// loop reads and the accumulator block it writes. Kernels own no scratch
@@ -105,53 +80,21 @@ struct PwcKernelArgs {
 using PwcKernelFn = void (*)(const PwcKernelArgs&);
 
 /// The generic reference implementations: the exact loops the engines ran
-/// before dispatch existed (per-multiply MacLane accounting, pairwise
-/// AdderTree summation) with caller-local scratch. Every shape not in the
-/// registry - and every shape under kForceGeneric - runs these.
+/// before the fast paths existed (per-multiply MacLane accounting, pairwise
+/// AdderTree summation) with caller-local scratch. Every shape without a
+/// fast path - and every shape under kForceGeneric - runs these.
 void generic_dwc_kernel(const DwcKernelArgs& args);
 void generic_pwc_kernel(const PwcKernelArgs& args);
 
-/// The process-wide kernel registry. Thread-safe; the built-in
-/// specializations (3x3/stride-1, 3x3/stride-2 DWC, 1x1 PWC, all at
-/// dilation 1 and any depth multiplier) are registered in-registry at
-/// construction so static-library link order can never drop them.
-class KernelDispatch {
- public:
-  /// The singleton the engines consult.
-  [[nodiscard]] static KernelDispatch& instance();
+/// The DWC kernel table. Under kAuto a 3x3 kernel at dilation 1 and
+/// stride 1 or 2 gets its specialized kernel; every other shape, and
+/// every shape under kForceGeneric, gets generic_dwc_kernel. A new fast
+/// path is one more branch here plus its bit-identity tests.
+[[nodiscard]] DwcKernelFn dwc_kernel_for(KernelPolicy policy, int kernel,
+                                         int stride, int dilation) noexcept;
 
-  /// Registers (or replaces) a kernel for a shape. Keys are validated:
-  /// positive odd kernel extent for DWC (extent 1 for PWC), stride 1 or 2,
-  /// dilation >= 1, depth_multiplier >= 0 (0 = wildcard). `label` names
-  /// the implementation in registered_shapes().
-  void register_dwc(const KernelShapeKey& key, DwcKernelFn fn,
-                    std::string label);
-  void register_pwc(const KernelShapeKey& key, PwcKernelFn fn,
-                    std::string label);
-
-  /// Lookup: exact key first, then the depth_multiplier wildcard (0).
-  /// Returns the generic implementation when no specialization matches -
-  /// callers can invoke the result unconditionally.
-  [[nodiscard]] DwcKernelFn find_dwc(const KernelShapeKey& key) const;
-  [[nodiscard]] PwcKernelFn find_pwc(const KernelShapeKey& key) const;
-
-  /// True when `key` would resolve to a specialized (non-generic) kernel.
-  [[nodiscard]] bool has_specialization(const KernelShapeKey& key) const;
-
-  /// "<key> -> <label>" lines for every registered entry, in key order
-  /// (docs, tests, and the micro-bench matrix enumerate these).
-  [[nodiscard]] std::vector<std::string> registered_shapes() const;
-
-  /// Process-wide default policy: kForceGeneric when the
-  /// EDEA_FORCE_GENERIC_KERNELS environment variable is set non-empty and
-  /// not "0" at first use, else kAuto. Engines read this at construction.
-  [[nodiscard]] static KernelPolicy default_policy();
-
- private:
-  KernelDispatch();
-
-  struct Impl;
-  Impl* impl_;  // never freed: the registry lives for the process
-};
+/// The PWC kernel table: PWC is 1x1 by definition, so kAuto always gets
+/// the specialized dot product and kForceGeneric generic_pwc_kernel.
+[[nodiscard]] PwcKernelFn pwc_kernel_for(KernelPolicy policy) noexcept;
 
 }  // namespace edea::core

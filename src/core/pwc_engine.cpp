@@ -9,22 +9,7 @@ PwcEngine::PwcEngine(const EdeaConfig& config)
   config_.validate();
 }
 
-KernelShapeKey PwcEngine::shape_key(int depth_multiplier) const noexcept {
-  KernelShapeKey key;
-  key.family = OpFamily::kPwc;
-  key.kernel = 1;
-  key.stride = 1;
-  key.dilation = 1;
-  key.depth_multiplier = depth_multiplier;
-  return key;
-}
-
-void PwcEngine::set_kernel_policy(KernelPolicy policy) noexcept {
-  policy_ = policy;
-  cached_fn_ = nullptr;
-}
-
-void PwcEngine::run_step(const PwcStepInput& input, PwcKernelFn fn,
+void PwcEngine::run_step(const PwcStepInput& input,
                          arch::MacActivity& activity,
                          PwcStepOutput& out) const {
   EDEA_REQUIRE(input.rows == config_.tn && input.cols == config_.tm,
@@ -57,7 +42,7 @@ void PwcEngine::run_step(const PwcStepInput& input, PwcKernelFn fn,
   args.td = config_.td;
   args.psum = out.psum.data();
   args.activity = &activity;
-  fn(args);
+  pwc_kernel_for(policy_)(args);
 
   // Kernel lanes beyond the group width idle this cycle. Idle accounting
   // lives above the kernel boundary so every kernel sees the same contract.
@@ -66,35 +51,20 @@ void PwcEngine::run_step(const PwcStepInput& input, PwcKernelFn fn,
   activity.lane_cycles += idle_lanes;
 }
 
-PwcStepOutput PwcEngine::step(const PwcStepInput& input,
-                              int depth_multiplier) {
+PwcStepOutput PwcEngine::step(const PwcStepInput& input) {
   PwcStepOutput out;
-  step_into(input, depth_multiplier, out);
+  step_into(input, out);
   return out;
 }
 
-void PwcEngine::step_into(const PwcStepInput& input, int depth_multiplier,
-                          PwcStepOutput& out) {
-  PwcKernelFn fn = &generic_pwc_kernel;
-  if (policy_ != KernelPolicy::kForceGeneric) {
-    const KernelShapeKey key = shape_key(depth_multiplier);
-    if (cached_fn_ == nullptr || !(cached_key_ == key)) {
-      cached_key_ = key;
-      cached_fn_ = KernelDispatch::instance().find_pwc(key);
-    }
-    fn = cached_fn_;
-  }
-  run_step(input, fn, activity_, out);
+void PwcEngine::step_into(const PwcStepInput& input, PwcStepOutput& out) {
+  run_step(input, activity_, out);
 }
 
-PwcStepOutput PwcEngine::step(const PwcStepInput& input, int depth_multiplier,
+PwcStepOutput PwcEngine::step(const PwcStepInput& input,
                               arch::MacActivity& activity) const {
-  const PwcKernelFn fn = policy_ == KernelPolicy::kForceGeneric
-                             ? &generic_pwc_kernel
-                             : KernelDispatch::instance().find_pwc(
-                                   shape_key(depth_multiplier));
   PwcStepOutput out;
-  run_step(input, fn, activity, out);
+  run_step(input, activity, out);
   return out;
 }
 

@@ -8,9 +8,9 @@
 // in the accumulator buffer (the engine is combinational plus a pipeline
 // register, like the silicon).
 //
-// The dot-product inner loop is resolved through core::KernelDispatch:
-// 1x1 PWC runs a hand-specialized contiguous dot-product kernel, with the
-// generic reference path as fallback and kForceGeneric as the A/B pin.
+// The dot-product inner loop comes from the kernel table
+// (core::pwc_kernel_for): a hand-specialized contiguous dot-product kernel,
+// with kForceGeneric pinning the generic reference path for A/B runs.
 #pragma once
 
 #include <cstdint>
@@ -59,30 +59,23 @@ class PwcEngine {
   explicit PwcEngine(const EdeaConfig& config);
 
   /// One engine cycle: 64 dot products over the slice channels.
-  /// `depth_multiplier` is a dispatch-key component only (the arithmetic
-  /// is multiplier-invariant).
-  [[nodiscard]] PwcStepOutput step(const PwcStepInput& input,
-                                   int depth_multiplier = 1);
+  [[nodiscard]] PwcStepOutput step(const PwcStepInput& input);
 
   /// The same step, written into a caller-owned `out` whose storage is
   /// reused across calls (the accelerator's per-step loop allocates
   /// nothing). Outputs and activity are identical to step().
-  void step_into(const PwcStepInput& input, int depth_multiplier,
-                 PwcStepOutput& out);
+  void step_into(const PwcStepInput& input, PwcStepOutput& out);
 
-  /// Reentrant step: activity tallies into the caller-supplied sink and
-  /// the kernel lookup bypasses the engine-local cache. Safe to call
-  /// concurrently from multiple threads on one engine.
+  /// Reentrant step: activity tallies into the caller-supplied sink. Safe
+  /// to call concurrently from multiple threads on one engine.
   [[nodiscard]] PwcStepOutput step(const PwcStepInput& input,
-                                   int depth_multiplier,
                                    arch::MacActivity& activity) const;
 
   /// One idle cycle (pipeline bubble during initiation).
   void idle_cycle();
 
-  /// Pins (or unpins) the generic reference kernels; resets the cached
-  /// dispatch resolution. Default is KernelDispatch::default_policy().
-  void set_kernel_policy(KernelPolicy policy) noexcept;
+  /// Pins (or unpins) the generic reference kernels. Default is kAuto.
+  void set_kernel_policy(KernelPolicy policy) noexcept { policy_ = policy; }
   [[nodiscard]] KernelPolicy kernel_policy() const noexcept { return policy_; }
 
   [[nodiscard]] const arch::MacActivity& activity() const noexcept {
@@ -109,16 +102,13 @@ class PwcEngine {
   static constexpr int kMulsPerPe = 4;
 
  private:
-  [[nodiscard]] KernelShapeKey shape_key(int depth_multiplier) const noexcept;
-  void run_step(const PwcStepInput& input, PwcKernelFn fn,
-                arch::MacActivity& activity, PwcStepOutput& out) const;
+  void run_step(const PwcStepInput& input, arch::MacActivity& activity,
+                PwcStepOutput& out) const;
 
   EdeaConfig config_;
   arch::AdderTree tree_;
   arch::MacActivity activity_;
-  KernelPolicy policy_ = KernelDispatch::default_policy();
-  KernelShapeKey cached_key_;
-  PwcKernelFn cached_fn_ = nullptr;  ///< resolved for cached_key_, or null
+  KernelPolicy policy_ = KernelPolicy::kAuto;
 };
 
 }  // namespace edea::core

@@ -33,7 +33,7 @@ struct SweepJob {
   EdeaConfig config = EdeaConfig::paper();
   const std::vector<nn::QuantDscLayer>* layers = nullptr;
   const nn::Int8Tensor* input = nullptr;
-  /// Accelerator backend id (core/backend.hpp registry) this job simulates
+  /// Accelerator backend id (core/backend.hpp id table) this job simulates
   /// on. Empty means "the caller's default": evaluate_job resolves it to
   /// kDefaultBackendId, SweepRunner to its SweepOptions::backend. An
   /// unknown id is a PreconditionError - a typo'd backend is a caller bug,
@@ -139,7 +139,7 @@ struct SweepOptions {
 };
 
 /// Runs one job on a fresh accelerator built from the job's backend id
-/// through the registry (empty resolves to kDefaultBackendId). Never
+/// through make_backend (empty resolves to kDefaultBackendId). Never
 /// propagates simulation failures: an infeasible configuration
 /// (ResourceError, ...) comes back with ok == false and the failure text
 /// in `error`, so callers that fan jobs out (SweepRunner, the simulation

@@ -71,7 +71,7 @@ class Explorer {
   /// (EDEA vs the serialized baseline, cf. Fig. 3 / Table III). Outputs
   /// are bit-exact across backends (the backend contract), so the result
   /// isolates cycles and traffic. Pass core::backend_ids() to sweep every
-  /// registered dataflow. `parallelism` is the sweep-level policy, as in
+  /// known dataflow. `parallelism` is the sweep-level policy, as in
   /// explore(); results are deterministic at every setting. Unknown ids
   /// and an empty backend list are PreconditionErrors.
   [[nodiscard]] BackendSweepResult explore_backends(

@@ -22,7 +22,7 @@ struct ClientConfig {
   /// --backend ID: default backend of the *in-process reference* session
   /// --verify recomputes against. Must mirror the server's --backend or
   /// the reference diverges by construction. Validated against the
-  /// registry at parse time.
+  /// backend id table at parse time.
   std::string backend;  ///< empty = the protocol default ("edea")
   /// --batch N: default batch of the in-process --verify reference. Must
   /// mirror the server's --batch for the same reason. Validated >= 1 at

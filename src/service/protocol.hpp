@@ -12,9 +12,9 @@
 //
 // <network> is a model-zoo name (nn::zoo_specs). Recognized keys:
 //   seed       workload seed (weights + input), default 1
-//   backend    accelerator backend id (core/backend.hpp registry):
+//   backend    accelerator backend id (core/backend.hpp id table):
 //              edea (default) or serialized; an unknown id is a protocol
-//              error - the registry is the protocol's vocabulary, and a
+//              error - the id table is the protocol's vocabulary, and a
 //              typo'd dataflow must fail loudly, not simulate something
 //              else
 //   batch      images per run (>= 1, default 1): all images share one

@@ -22,7 +22,7 @@ struct ServerConfig {
   std::string cache_file;        ///< --cache-file PATH ("" = no persistence)
   ServiceOptions service;        ///< --workers / --cache / --tile-parallelism
   /// --backend ID: default backend for requests without a backend= key.
-  /// Validated against the registry at parse time (default "edea").
+  /// Validated against the backend id table at parse time (default "edea").
   std::string backend = std::string(core::kDefaultBackendId);
   /// --batch N: default images-per-run for requests without a batch= key.
   /// Validated >= 1 at parse time (default 1).

@@ -10,8 +10,7 @@
 //   (c) a mixed-backend request stream served over a real socket is
 //       byte-identical to the stdio reference, including persisted-cache
 //       hits keyed per backend.
-// Plus the registry mechanics themselves (lookup, registration rules,
-// sweep plumbing).
+// Plus the id table itself (lookup, unknown ids, sweep plumbing).
 #include "core/backend.hpp"
 
 #include <gtest/gtest.h>
@@ -57,7 +56,7 @@ std::int64_t total_external_accesses(const NetworkRunResult& result) {
   return total;
 }
 
-// --- registry mechanics -----------------------------------------------------
+// --- id table ---------------------------------------------------------------
 
 TEST(BackendRegistryTest, InTreeBackendsAreRegistered) {
   EXPECT_TRUE(backend_known("edea"));
@@ -103,38 +102,6 @@ TEST(BackendRegistryTest, UnknownIdThrowsNamingTheVocabulary) {
     EXPECT_NE(what.find("edea"), std::string::npos) << what;
     EXPECT_NE(what.find("serialized"), std::string::npos) << what;
   }
-}
-
-TEST(BackendRegistryTest, RegistrationRejectsUnusableIds) {
-  const BackendFactory factory = [](const EdeaConfig& config) {
-    return std::make_unique<EdeaAccelerator>(config);
-  };
-  EXPECT_THROW((void)register_backend("", factory), PreconditionError);
-  EXPECT_THROW((void)register_backend("two words", factory),
-               PreconditionError);
-  EXPECT_THROW((void)register_backend("x", nullptr), PreconditionError);
-}
-
-TEST(BackendRegistryTest, EmbedderBackendsResolveEverywhere) {
-  // A registered third dataflow is immediately reachable through the
-  // whole plumbing - here via evaluate_job, the narrow waist.
-  const bool fresh = register_backend(
-      "test-alias", [](const EdeaConfig& config) {
-        return std::make_unique<EdeaAccelerator>(config);
-      });
-  EXPECT_TRUE(fresh || backend_known("test-alias"));
-
-  const auto specs = nn::zoo_specs("edeanet-64");
-  const auto layers = nn::make_random_quant_network(specs, 11);
-  const nn::Int8Tensor input = random_input(specs.front(), 12);
-  SweepJob job;
-  job.name = "aliased";
-  job.backend = "test-alias";
-  job.layers = &layers;
-  job.input = &input;
-  const SweepOutcome outcome = evaluate_job(job);
-  ASSERT_TRUE(outcome.ok) << outcome.error;
-  EXPECT_EQ(outcome.backend, "test-alias");
 }
 
 // --- sweep plumbing ---------------------------------------------------------

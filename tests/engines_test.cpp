@@ -318,7 +318,7 @@ TEST(DwcEngine, ConstStepIsReentrant) {
   std::vector<DwcStepOutput> expected;
   arch::MacActivity serial;
   for (const DwcWindow& window : windows) {
-    expected.push_back(engine.step(window, 1, 1, 1, serial));
+    expected.push_back(engine.step(window, 1, 1, serial));
   }
 
   constexpr int kThreads = 4;
@@ -330,7 +330,7 @@ TEST(DwcEngine, ConstStepIsReentrant) {
       for (int rep = 0; rep < kRepeats; ++rep) {
         for (int i = 0; i < kWindows; ++i) {
           const DwcStepOutput out =
-              engine.step(windows[static_cast<std::size_t>(i)], 1, 1, 1,
+              engine.step(windows[static_cast<std::size_t>(i)], 1, 1,
                           sinks[static_cast<std::size_t>(t)]);
           if (out.acc != expected[static_cast<std::size_t>(i)].acc) {
             ++mismatches[static_cast<std::size_t>(t)];
@@ -382,7 +382,7 @@ TEST(PwcEngine, ConstStepIsReentrant) {
   std::vector<PwcStepOutput> expected;
   arch::MacActivity serial;
   for (const PwcStepInput& pin : inputs) {
-    expected.push_back(engine.step(pin, 1, serial));
+    expected.push_back(engine.step(pin, serial));
   }
 
   constexpr int kThreads = 4;
@@ -394,7 +394,7 @@ TEST(PwcEngine, ConstStepIsReentrant) {
       for (int rep = 0; rep < kRepeats; ++rep) {
         for (int i = 0; i < kInputs; ++i) {
           const PwcStepOutput out =
-              engine.step(inputs[static_cast<std::size_t>(i)], 1,
+              engine.step(inputs[static_cast<std::size_t>(i)],
                           sinks[static_cast<std::size_t>(t)]);
           if (out.psum != expected[static_cast<std::size_t>(i)].psum) {
             ++mismatches[static_cast<std::size_t>(t)];
@@ -436,7 +436,7 @@ TEST(DwcEngine, ForcedGenericConstStepIsAlsoReentrant) {
   }
 
   arch::MacActivity ref_sink;
-  const DwcStepOutput reference = engine.step(window, 1, 1, 1, ref_sink);
+  const DwcStepOutput reference = engine.step(window, 1, 1, ref_sink);
 
   constexpr int kThreads = 4;
   std::vector<int> mismatches(kThreads, 0);
@@ -446,7 +446,7 @@ TEST(DwcEngine, ForcedGenericConstStepIsAlsoReentrant) {
     threads.emplace_back([&, t] {
       for (int rep = 0; rep < 100; ++rep) {
         const DwcStepOutput out =
-            engine.step(window, 1, 1, 1, sinks[static_cast<std::size_t>(t)]);
+            engine.step(window, 1, 1, sinks[static_cast<std::size_t>(t)]);
         if (out.acc != reference.acc) {
           ++mismatches[static_cast<std::size_t>(t)];
         }

@@ -1,127 +1,47 @@
-// kernel_dispatch_test - the shape-specialized kernel registry: built-in
-// coverage, lookup precedence (exact > wildcard > generic), the
-// force-generic escape hatch, and the bit-identity contract every
-// specialized kernel must honor (outputs AND MacActivity tallies equal to
-// the generic reference, across full/partial slices, strides, and
-// all-zero inputs).
+// kernel_dispatch_test - the fixed kernel table: which shapes get a
+// specialized kernel, the force-generic escape hatch, and the bit-identity
+// contract every specialized kernel must honor (outputs AND MacActivity
+// tallies equal to the generic reference, across full/partial slices,
+// strides, and all-zero inputs).
 #include "core/kernel_dispatch.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "core/dwc_engine.hpp"
 #include "core/pwc_engine.hpp"
-#include "util/check.hpp"
 #include "util/random.hpp"
 
 namespace edea::core {
 namespace {
 
-KernelShapeKey dwc_key(int kernel, int stride, int dilation, int mult) {
-  KernelShapeKey key;
-  key.family = OpFamily::kDwc;
-  key.kernel = kernel;
-  key.stride = stride;
-  key.dilation = dilation;
-  key.depth_multiplier = mult;
-  return key;
-}
+// -------------------------------------------------------------- table ---
 
-KernelShapeKey pwc_key(int mult) {
-  KernelShapeKey key;
-  key.family = OpFamily::kPwc;
-  key.kernel = 1;
-  key.stride = 1;
-  key.dilation = 1;
-  key.depth_multiplier = mult;
-  return key;
-}
-
-// ----------------------------------------------------------- registry ---
-
-TEST(KernelDispatch, BuiltInShapesAreRegistered) {
-  KernelDispatch& d = KernelDispatch::instance();
-  // The ISSUE's minimum set: 3x3/s1/d1, 3x3/s2/d1 DWC, 1x1 PWC - all
-  // wildcarded over the depth multiplier.
-  EXPECT_TRUE(d.has_specialization(dwc_key(3, 1, 1, 1)));
-  EXPECT_TRUE(d.has_specialization(dwc_key(3, 2, 1, 1)));
-  EXPECT_TRUE(d.has_specialization(dwc_key(3, 1, 1, 4)));  // wildcard mult
-  EXPECT_TRUE(d.has_specialization(pwc_key(1)));
-  EXPECT_TRUE(d.has_specialization(pwc_key(7)));
-  // Shapes with no fast path resolve to the generic implementation.
-  EXPECT_FALSE(d.has_specialization(dwc_key(3, 1, 2, 1)));  // dilated
-  EXPECT_FALSE(d.has_specialization(dwc_key(5, 1, 1, 1)));  // 5x5
-  EXPECT_EQ(d.find_dwc(dwc_key(5, 1, 1, 1)), &generic_dwc_kernel);
-  EXPECT_NE(d.find_dwc(dwc_key(3, 1, 1, 1)), &generic_dwc_kernel);
-  EXPECT_NE(d.find_pwc(pwc_key(1)), &generic_pwc_kernel);
-}
-
-TEST(KernelDispatch, RegisteredShapesAreListable) {
-  const std::vector<std::string> shapes =
-      KernelDispatch::instance().registered_shapes();
-  ASSERT_GE(shapes.size(), 3u);
-  bool saw_s1 = false, saw_s2 = false, saw_pwc = false;
-  for (const std::string& s : shapes) {
-    if (s.find("dwc k=3 s=1 d=1 m=any") != std::string::npos) saw_s1 = true;
-    if (s.find("dwc k=3 s=2 d=1 m=any") != std::string::npos) saw_s2 = true;
-    if (s.find("pwc k=1 s=1 d=1 m=any") != std::string::npos) saw_pwc = true;
-    EXPECT_NE(s.find(" -> "), std::string::npos) << s;  // "<key> -> <label>"
-  }
-  EXPECT_TRUE(saw_s1);
-  EXPECT_TRUE(saw_s2);
-  EXPECT_TRUE(saw_pwc);
-}
-
-TEST(KernelDispatch, ExactMultiplierBeatsWildcard) {
-  KernelDispatch& d = KernelDispatch::instance();
-  // Register an exact-multiplier entry on a shape nothing else uses
-  // (kernel 7 never dispatches from the engines in these tests).
-  const KernelShapeKey exact = dwc_key(7, 1, 1, 3);
-  const KernelShapeKey wild = dwc_key(7, 1, 1, 0);
-  d.register_dwc(wild, &generic_dwc_kernel, "wild7");
-  ASSERT_EQ(d.find_dwc(dwc_key(7, 1, 1, 3)), &generic_dwc_kernel);
-
-  // A distinct function for the exact entry: the generic kernel wrapped.
-  static const DwcKernelFn exact_fn = [](const DwcKernelArgs& a) {
-    generic_dwc_kernel(a);
-  };
-  d.register_dwc(exact, exact_fn, "exact7m3");
-  EXPECT_EQ(d.find_dwc(dwc_key(7, 1, 1, 3)), exact_fn);   // exact wins
-  EXPECT_EQ(d.find_dwc(dwc_key(7, 1, 1, 2)), &generic_dwc_kernel);  // wild
-}
-
-TEST(KernelDispatch, RejectsMalformedRegistrations) {
-  KernelDispatch& d = KernelDispatch::instance();
-  EXPECT_THROW(d.register_dwc(dwc_key(4, 1, 1, 0), &generic_dwc_kernel, "x"),
-               PreconditionError);  // even kernel
-  EXPECT_THROW(d.register_dwc(dwc_key(3, 3, 1, 0), &generic_dwc_kernel, "x"),
-               PreconditionError);  // stride 3
-  EXPECT_THROW(d.register_dwc(dwc_key(3, 1, 0, 0), &generic_dwc_kernel, "x"),
-               PreconditionError);  // dilation 0
-  EXPECT_THROW(d.register_dwc(dwc_key(3, 1, 1, -1), &generic_dwc_kernel, "x"),
-               PreconditionError);  // negative multiplier
-  EXPECT_THROW(d.register_dwc(pwc_key(0), &generic_dwc_kernel, "x"),
-               PreconditionError);  // family mismatch
-  EXPECT_THROW(d.register_pwc(pwc_key(0), nullptr, "x"),
-               PreconditionError);  // null kernel
-  KernelShapeKey big_pwc = pwc_key(0);
-  big_pwc.kernel = 3;
-  EXPECT_THROW(d.register_pwc(big_pwc, &generic_pwc_kernel, "x"),
-               PreconditionError);  // PWC is 1x1 by definition
-}
-
-TEST(KernelDispatch, KeyToStringNamesEveryComponent) {
-  EXPECT_EQ(dwc_key(3, 2, 1, 0).to_string(), "dwc k=3 s=2 d=1 m=any");
-  EXPECT_EQ(dwc_key(3, 1, 2, 4).to_string(), "dwc k=3 s=1 d=2 m=4");
-  EXPECT_EQ(pwc_key(0).to_string(), "pwc k=1 s=1 d=1 m=any");
+TEST(KernelTable, HotShapesAreSpecialized) {
+  constexpr KernelPolicy kAuto = KernelPolicy::kAuto;
+  // Specialized: 3x3 DWC at stride 1 and 2 (one kernel each), 1x1 PWC.
+  const DwcKernelFn s1 = dwc_kernel_for(kAuto, 3, 1, 1);
+  const DwcKernelFn s2 = dwc_kernel_for(kAuto, 3, 2, 1);
+  EXPECT_NE(s1, &generic_dwc_kernel);
+  EXPECT_NE(s2, &generic_dwc_kernel);
+  EXPECT_NE(s1, s2);
+  EXPECT_NE(pwc_kernel_for(kAuto), &generic_pwc_kernel);
+  // Generic: every other kernel extent and every dilated shape.
+  EXPECT_EQ(dwc_kernel_for(kAuto, 5, 1, 1), &generic_dwc_kernel);
+  EXPECT_EQ(dwc_kernel_for(kAuto, 3, 2, 2), &generic_dwc_kernel);
+  EXPECT_EQ(dwc_kernel_for(kAuto, 3, 1, 2), &generic_dwc_kernel);
+  // kForceGeneric pins the generic kernels even on the hot shapes.
+  constexpr KernelPolicy kGeneric = KernelPolicy::kForceGeneric;
+  EXPECT_EQ(dwc_kernel_for(kGeneric, 3, 1, 1), &generic_dwc_kernel);
+  EXPECT_EQ(dwc_kernel_for(kGeneric, 3, 2, 1), &generic_dwc_kernel);
+  EXPECT_EQ(pwc_kernel_for(kGeneric), &generic_pwc_kernel);
 }
 
 // ----------------------------------------------- engine-level routing ---
 
-TEST(KernelDispatch, ForceGenericPolicyRoutesAroundSpecializations) {
+TEST(KernelTable, ForceGenericPolicyRoutesAroundSpecializations) {
   // Identical engines, one pinned generic: outputs and activity must be
   // bit-identical - that IS the escape hatch's contract.
   const EdeaConfig cfg = EdeaConfig::paper();
@@ -153,9 +73,9 @@ TEST(KernelDispatch, ForceGenericPolicyRoutesAroundSpecializations) {
 
 // ------------------------------------------------- bit-identity sweep ---
 //
-// The dispatch contract, checked per shape at the engine seam: for
+// The table's contract, checked per shape at the engine seam: for
 // randomized operands (dense, sparse, all-zero; full and partial slices)
-// the auto-dispatched engine and a force-generic twin produce bit-equal
+// the kAuto engine and a force-generic twin produce bit-equal
 // accumulators and bit-equal MacActivity tallies.
 
 void check_dwc_bit_identity(int stride, int dilation, int channels,
@@ -217,8 +137,8 @@ TEST(KernelDispatchBitIdentity, Dwc3x3SparseAndAllZero) {
 }
 
 TEST(KernelDispatchBitIdentity, DilatedShapesTakeTheGenericPathIdentically) {
-  // No specialization is registered at dilation 2 - both engines run
-  // generic, which must also be self-consistent through dispatch.
+  // The table has no dilation-2 entry - both engines run generic, which
+  // must also be self-consistent through the table.
   check_dwc_bit_identity(1, 2, 8, 0.3, 5006);
   check_dwc_bit_identity(2, 2, 5, 0.3, 5007);
 }
@@ -276,14 +196,6 @@ TEST(KernelDispatchBitIdentity, Pwc1x1SparseAndAllZero) {
   check_pwc_bit_identity(8, 16, 0.7, 6002);
   check_pwc_bit_identity(8, 16, 1.0, 6003);
   check_pwc_bit_identity(3, 10, 1.0, 6004);
-}
-
-// The process-default policy helper: cheap sanity that the environment
-// lever resolves to a policy (its value is pinned at first use, so the
-// test only asserts it is one of the two states).
-TEST(KernelDispatch, DefaultPolicyIsAutoOrForced) {
-  const KernelPolicy p = KernelDispatch::default_policy();
-  EXPECT_TRUE(p == KernelPolicy::kAuto || p == KernelPolicy::kForceGeneric);
 }
 
 }  // namespace

@@ -6,7 +6,6 @@
 #include <sstream>
 
 #include "util/check.hpp"
-#include "util/logging.hpp"
 #include "util/random.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -197,35 +196,6 @@ TEST(TextTable, NumberFormatting) {
 
 TEST(TextTable, EmptyHeaderListThrows) {
   EXPECT_THROW(TextTable({}), PreconditionError);
-}
-
-// -------------------------------------------------------------- logging ---
-
-TEST(Logging, LevelRoundTrip) {
-  const log::Level before = log::level();
-  log::set_level(log::Level::kWarn);
-  EXPECT_EQ(log::level(), log::Level::kWarn);
-  log::set_level(before);
-}
-
-TEST(Logging, LevelNames) {
-  EXPECT_EQ(log::level_name(log::Level::kDebug), "DEBUG");
-  EXPECT_EQ(log::level_name(log::Level::kError), "ERROR");
-}
-
-TEST(Logging, MacroRespectsThreshold) {
-  // With the level at kError, an INFO emitter must not evaluate its
-  // stream arguments at all (the macro short-circuits).
-  const log::Level before = log::level();
-  log::set_level(log::Level::kError);
-  int evaluations = 0;
-  auto count = [&]() {
-    ++evaluations;
-    return "x";
-  };
-  EDEA_LOG_INFO << count();
-  EXPECT_EQ(evaluations, 0);
-  log::set_level(before);
 }
 
 }  // namespace
