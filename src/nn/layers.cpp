@@ -3,6 +3,7 @@
 #include <cmath>
 #include <sstream>
 
+#include "arch/fixed_point.hpp"
 #include "util/check.hpp"
 
 namespace edea::nn {
@@ -75,42 +76,32 @@ BatchNormParams make_random_bn(int channels, Rng& rng, float beta_shift,
   return bn;
 }
 
-}  // namespace
-
-FloatDscLayer make_random_float_layer(const DscLayerSpec& spec, Rng& rng) {
+void check_random_spec(const DscLayerSpec& spec) {
   EDEA_REQUIRE(spec.in_channels > 0 && spec.out_channels > 0,
                "layer channel counts must be positive");
   EDEA_REQUIRE(spec.stride == 1 || spec.stride == 2,
                "MobileNetV1 DSC layers use stride 1 or 2");
   EDEA_REQUIRE(spec.dilation >= 1, "DWC dilation must be >= 1");
   EDEA_REQUIRE(spec.depth_multiplier >= 1, "depth multiplier must be >= 1");
+}
 
-  FloatDscLayer layer;
-  layer.spec = spec;
+// He/Kaiming fan-in initialization keeps activation magnitudes stable
+// through the (untrained) network, which matters for realistic
+// quantization ranges and sparsity statistics. Each DWC output channel
+// still reads a single input channel, so its fan-in stays kernel^2
+// regardless of the depth multiplier; the PWC fan-in is the
+// (multiplied) intermediate depth.
+double dwc_weight_stddev(const DscLayerSpec& spec) {
+  return std::sqrt(2.0 / static_cast<double>(spec.kernel * spec.kernel));
+}
 
-  // He/Kaiming fan-in initialization keeps activation magnitudes stable
-  // through the (untrained) network, which matters for realistic
-  // quantization ranges and sparsity statistics. Each DWC output channel
-  // still reads a single input channel, so its fan-in stays kernel^2
-  // regardless of the depth multiplier; the PWC fan-in is the
-  // (multiplied) intermediate depth. At depth_multiplier = 1 every draw
-  // below happens in the pre-multiplier order, bit for bit.
-  const double dwc_std =
-      std::sqrt(2.0 / static_cast<double>(spec.kernel * spec.kernel));
-  layer.dwc_weights = FloatTensor(
-      Shape{spec.kernel, spec.kernel, spec.intermediate_channels()});
-  for (auto& w : layer.dwc_weights.storage()) {
-    w = static_cast<float>(rng.normal(0.0, dwc_std));
-  }
+double pwc_weight_stddev(const DscLayerSpec& spec) {
+  return std::sqrt(2.0 / static_cast<double>(spec.intermediate_channels()));
+}
 
-  const double pwc_std =
-      std::sqrt(2.0 / static_cast<double>(spec.intermediate_channels()));
-  layer.pwc_weights =
-      FloatTensor(Shape{spec.out_channels, spec.intermediate_channels()});
-  for (auto& w : layer.pwc_weights.storage()) {
-    w = static_cast<float>(rng.normal(0.0, pwc_std));
-  }
-
+/// The BN draws that follow a random layer's weight draws.
+void make_random_bns(const DscLayerSpec& spec, Rng& rng, BatchNormParams& bn1,
+                     BatchNormParams& bn2) {
   // Trained MobileNets show rising post-ReLU sparsity with depth (the
   // paper's Fig. 11 reaches ~97% zeros at layer 12). The synthetic
   // substitute reproduces that trend by shifting deep layers' pre-ReLU
@@ -118,10 +109,91 @@ FloatDscLayer make_random_float_layer(const DscLayerSpec& spec, Rng& rng) {
   const float depth = static_cast<float>(spec.index) / 12.0f;
   const float beta_shift = 0.55f * depth;
   const float gamma_gain = 1.0f + 0.9f * depth;
-  layer.bn1 = make_random_bn(spec.intermediate_channels(), rng, beta_shift,
-                             gamma_gain);
-  layer.bn2 = make_random_bn(spec.out_channels, rng, beta_shift, gamma_gain);
+  bn1 = make_random_bn(spec.intermediate_channels(), rng, beta_shift,
+                       gamma_gain);
+  bn2 = make_random_bn(spec.out_channels, rng, beta_shift, gamma_gain);
+}
+
+}  // namespace
+
+FloatDscLayer make_random_float_layer(const DscLayerSpec& spec, Rng& rng) {
+  check_random_spec(spec);
+  FloatDscLayer layer;
+  layer.spec = spec;
+
+  // At depth_multiplier = 1 every draw below happens in the
+  // pre-multiplier order, bit for bit.
+  const double dwc_std = dwc_weight_stddev(spec);
+  layer.dwc_weights = FloatTensor(
+      Shape{spec.kernel, spec.kernel, spec.intermediate_channels()});
+  for (auto& w : layer.dwc_weights.storage()) {
+    w = static_cast<float>(rng.normal(0.0, dwc_std));
+  }
+
+  const double pwc_std = pwc_weight_stddev(spec);
+  layer.pwc_weights =
+      FloatTensor(Shape{spec.out_channels, spec.intermediate_channels()});
+  for (auto& w : layer.pwc_weights.storage()) {
+    w = static_cast<float>(rng.normal(0.0, pwc_std));
+  }
+
+  make_random_bns(spec, rng, layer.bn1, layer.bn2);
   return layer;
+}
+
+QuantDscLayer make_random_quant_layer(const DscLayerSpec& spec, Rng& rng,
+                                      QuantScale input_scale,
+                                      QuantScale intermediate_scale,
+                                      QuantScale output_scale,
+                                      DrawPath path) {
+  check_random_spec(spec);
+  QuantDscLayer q;
+  q.spec = spec;
+  q.input_scale = input_scale;
+  q.intermediate_scale = intermediate_scale;
+  q.output_scale = output_scale;
+  q.dwc_weights =
+      Int8Tensor(Shape{spec.kernel, spec.kernel, spec.intermediate_channels()});
+  q.pwc_weights =
+      Int8Tensor(Shape{spec.out_channels, spec.intermediate_channels()});
+
+  // One bulk draw covers the DWC then the PWC normals, the order
+  // make_random_float_layer draws them in.
+  QuantScale dwc_w_scale;
+  QuantScale pwc_w_scale;
+  {
+    const NormalDraw draw(rng, q.dwc_weights.size() + q.pwc_weights.size(),
+                          path);
+    dwc_w_scale =
+        quantize_normals(draw, 0, dwc_weight_stddev(spec), q.dwc_weights);
+    pwc_w_scale = quantize_normals(draw, q.dwc_weights.size(),
+                                   pwc_weight_stddev(spec), q.pwc_weights);
+  }
+
+  BatchNormParams bn1;
+  BatchNormParams bn2;
+  make_random_bns(spec, rng, bn1, bn2);
+  saturate_bn_shift(bn1, intermediate_scale);
+  saturate_bn_shift(bn2, output_scale);
+  q.nonconv1 = fold_nonconv(input_scale, dwc_w_scale, bn1, intermediate_scale);
+  q.nonconv2 =
+      fold_nonconv(intermediate_scale, pwc_w_scale, bn2, output_scale);
+  return q;
+}
+
+void saturate_bn_shift(BatchNormParams& bn, QuantScale output_scale) {
+  constexpr double kSaturatedOffset = 127.0;
+  const double scale = static_cast<double>(output_scale.scale);
+  for (std::size_t c = 0; c < bn.channels(); ++c) {
+    const double b = static_cast<double>(bn.effective_shift(c)) / scale;
+    const double raw =
+        std::nearbyint(b * static_cast<double>(arch::Q8_16::kOne));
+    if (raw >= arch::Q8_16::kMinRaw && raw <= arch::Q8_16::kMaxRaw) continue;
+    const double target = std::copysign(kSaturatedOffset, b) * scale;
+    bn.beta[c] = static_cast<float>(static_cast<double>(bn.beta[c]) +
+                                    target -
+                                    static_cast<double>(bn.effective_shift(c)));
+  }
 }
 
 QuantDscLayer quantize_layer(const FloatDscLayer& layer,

@@ -9,6 +9,7 @@
 
 #include "nn/ops.hpp"
 #include "nn/quant.hpp"
+#include "nn/synthetic_weights.hpp"
 #include "nn/tensor.hpp"
 #include "util/random.hpp"
 
@@ -123,5 +124,25 @@ struct LayerActivationStats {
                                            QuantScale input_scale,
                                            QuantScale intermediate_scale,
                                            QuantScale output_scale);
+
+/// Synthetic BN draws occasionally (~1% of zoo workloads; e.g.
+/// mobilenet-cifar seed 43) give a channel a large mean over a small
+/// variance, whose shift folds to a Non-Conv offset b = shift / scale
+/// outside Q8.16, and fold_nonconv rightly refuses it. This saturates
+/// exactly those channels: their beta is pulled in until b folds to
+/// +-127, just inside the range. The test is fold_nonconv's own encode
+/// check, so every channel it accepts keeps its bytes.
+void saturate_bn_shift(BatchNormParams& bn, QuantScale output_scale);
+
+/// A random quantized layer straight from `rng`, without float weight
+/// tensors: bit for bit quantize_layer(make_random_float_layer(spec,
+/// rng)) with both BNs passed through saturate_bn_shift (bn1 against the
+/// intermediate scale, bn2 against the output scale), and `rng` left in
+/// the same state. `path` selects the Box-Muller evaluation (see
+/// NormalDraw); every path gives the same bytes.
+[[nodiscard]] QuantDscLayer make_random_quant_layer(
+    const DscLayerSpec& spec, Rng& rng, QuantScale input_scale,
+    QuantScale intermediate_scale, QuantScale output_scale,
+    DrawPath path = DrawPath::kAuto);
 
 }  // namespace edea::nn

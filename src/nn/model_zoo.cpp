@@ -6,7 +6,6 @@
 #include <numeric>
 #include <sstream>
 
-#include "arch/fixed_point.hpp"
 #include "nn/mobilenet.hpp"
 #include "nn/quant.hpp"
 #include "util/check.hpp"
@@ -289,29 +288,6 @@ namespace {
 /// equals layer i+1's input scale.
 constexpr QuantScale kSyntheticActivationScale{0.03f};
 
-/// Synthetic BN draws occasionally (~1% of zoo workloads; e.g.
-/// mobilenet-cifar seed 43) give a channel a large mean over a small
-/// variance, whose shift folds to a Non-Conv offset b = shift / scale
-/// outside Q8.16, and fold_nonconv rightly refuses it. This saturates
-/// exactly those channels: their beta is pulled in until b folds to
-/// +-127, just inside the range. The test is fold_nonconv's own encode
-/// check, so every channel it accepts - and so every workload it ever
-/// accepted - keeps its bytes.
-void saturate_bn_shift(BatchNormParams& bn, QuantScale output_scale) {
-  constexpr double kSaturatedOffset = 127.0;
-  const double scale = static_cast<double>(output_scale.scale);
-  for (std::size_t c = 0; c < bn.channels(); ++c) {
-    const double b = static_cast<double>(bn.effective_shift(c)) / scale;
-    const double raw =
-        std::nearbyint(b * static_cast<double>(arch::Q8_16::kOne));
-    if (raw >= arch::Q8_16::kMinRaw && raw <= arch::Q8_16::kMaxRaw) continue;
-    const double target = std::copysign(kSaturatedOffset, b) * scale;
-    bn.beta[c] = static_cast<float>(static_cast<double>(bn.beta[c]) +
-                                    target -
-                                    static_cast<double>(bn.effective_shift(c)));
-  }
-}
-
 }  // namespace
 
 std::vector<QuantDscLayer> make_random_quant_network(
@@ -345,14 +321,9 @@ std::vector<QuantDscLayer> make_random_quant_network(
   util::parallel_for(
       0, static_cast<std::int64_t>(specs.size()), [&](std::int64_t i) {
         const std::size_t index = order[static_cast<std::size_t>(i)];
-        FloatDscLayer fl =
-            make_random_float_layer(specs[index], layer_rngs[index]);
-        saturate_bn_shift(fl.bn1, kSyntheticActivationScale);
-        saturate_bn_shift(fl.bn2, kSyntheticActivationScale);
-        layers[index] =
-            quantize_layer(fl, kSyntheticActivationScale,
-                           kSyntheticActivationScale,
-                           kSyntheticActivationScale);
+        layers[index] = make_random_quant_layer(
+            specs[index], layer_rngs[index], kSyntheticActivationScale,
+            kSyntheticActivationScale, kSyntheticActivationScale);
       });
   return layers;
 }

@@ -9,18 +9,17 @@ namespace edea::nn {
 
 std::int8_t QuantScale::quantize(float real) const {
   EDEA_REQUIRE(scale > 0.0f, "quantization scale must be positive");
-  const float scaled = real / scale;
-  const float rounded = std::nearbyint(scaled);
-  const float clamped =
-      std::clamp(rounded, static_cast<float>(kInt8Min),
-                 static_cast<float>(kInt8Max));
-  return static_cast<std::int8_t>(clamped);
+  return quantize_unchecked(real);
 }
 
 QuantScale choose_weight_scale(const FloatTensor& weights) {
-  const double m = max_abs(weights);
+  return choose_weight_scale(max_abs(weights));
+}
+
+QuantScale choose_weight_scale(double max_abs) {
   // Degenerate all-zero tensors get scale 1 so quantize() stays total.
-  const float scale = m > 0.0 ? static_cast<float>(m / 127.0) : 1.0f;
+  const float scale =
+      max_abs > 0.0 ? static_cast<float>(max_abs / 127.0) : 1.0f;
   return QuantScale{scale};
 }
 
@@ -33,11 +32,12 @@ QuantScale choose_activation_scale(double max_observed) {
 }
 
 Int8Tensor quantize_tensor(const FloatTensor& t, QuantScale s) {
+  EDEA_REQUIRE(s.scale > 0.0f, "quantization scale must be positive");
   Int8Tensor out(t.shape());
   const float* src = t.data();
   std::int8_t* dst = out.data();
   for (std::size_t i = 0; i < t.size(); ++i) {
-    dst[i] = s.quantize(src[i]);
+    dst[i] = s.quantize_unchecked(src[i]);
   }
   return out;
 }

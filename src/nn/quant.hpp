@@ -9,6 +9,8 @@
 // substitution is documented in DESIGN.md section 2.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -30,7 +32,16 @@ struct QuantScale {
   float scale = 1.0f;
 
   /// Quantizes a real value to int8 with round-to-nearest and saturation.
+  /// Requires scale > 0.
   [[nodiscard]] std::int8_t quantize(float real) const;
+
+  /// quantize() without the scale check, for loops that check it once.
+  [[nodiscard]] std::int8_t quantize_unchecked(float real) const noexcept {
+    const float rounded = std::nearbyint(real / scale);
+    return static_cast<std::int8_t>(
+        std::clamp(rounded, static_cast<float>(kInt8Min),
+                   static_cast<float>(kInt8Max)));
+  }
 
   /// Reconstructs the real value of an integer code.
   [[nodiscard]] float dequantize(std::int32_t q) const {
@@ -40,6 +51,9 @@ struct QuantScale {
 
 /// Chooses a weight scale: max|w| / 127 (symmetric, full range).
 [[nodiscard]] QuantScale choose_weight_scale(const FloatTensor& weights);
+
+/// The weight scale for a tensor whose largest |w| is `max_abs`.
+[[nodiscard]] QuantScale choose_weight_scale(double max_abs);
 
 /// Chooses an activation scale from calibration data: max(v) / 127 where v
 /// is the post-ReLU activation (non-negative). `max_observed` is the largest

@@ -5,7 +5,6 @@
 // for invariants whose violation would silently corrupt simulation results.
 #pragma once
 
-#include <source_location>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -36,22 +35,21 @@ class ResourceError : public std::runtime_error {
 
 namespace detail {
 
-[[noreturn]] inline void throw_precondition(std::string_view expr,
-                                            std::string_view msg,
-                                            const std::source_location& loc) {
+// The messages name the failed expression, not its source location: they
+// reach reply lines, which must not depend on where the tree was built.
+// Cold and out of line, so the checks in hot loops cost only a branch.
+[[noreturn, gnu::cold, gnu::noinline]] inline void throw_precondition(
+    std::string_view expr, std::string_view msg) {
   std::ostringstream os;
-  os << loc.file_name() << ':' << loc.line() << ": precondition failed: ("
-     << expr << ')';
+  os << "precondition failed: (" << expr << ')';
   if (!msg.empty()) os << " - " << msg;
   throw PreconditionError(os.str());
 }
 
-[[noreturn]] inline void throw_invariant(std::string_view expr,
-                                         std::string_view msg,
-                                         const std::source_location& loc) {
+[[noreturn, gnu::cold, gnu::noinline]] inline void throw_invariant(
+    std::string_view expr, std::string_view msg) {
   std::ostringstream os;
-  os << loc.file_name() << ':' << loc.line() << ": invariant violated: ("
-     << expr << ')';
+  os << "invariant violated: (" << expr << ')';
   if (!msg.empty()) os << " - " << msg;
   throw InvariantError(os.str());
 }
@@ -61,20 +59,18 @@ namespace detail {
 }  // namespace edea
 
 /// Validates a precondition of a public API. Throws edea::PreconditionError.
-#define EDEA_REQUIRE(expr, msg)                                       \
-  do {                                                                \
-    if (!(expr)) {                                                    \
-      ::edea::detail::throw_precondition(#expr, (msg),                \
-                                         std::source_location::current()); \
-    }                                                                 \
+#define EDEA_REQUIRE(expr, msg)                          \
+  do {                                                   \
+    if (!(expr)) {                                       \
+      ::edea::detail::throw_precondition(#expr, (msg));  \
+    }                                                    \
   } while (false)
 
 /// Validates an internal invariant. Throws edea::InvariantError.
 /// Never compiled out: a wrong simulation result is worse than a slow one.
-#define EDEA_ASSERT(expr, msg)                                        \
-  do {                                                                \
-    if (!(expr)) {                                                    \
-      ::edea::detail::throw_invariant(#expr, (msg),                   \
-                                      std::source_location::current()); \
-    }                                                                 \
+#define EDEA_ASSERT(expr, msg)                        \
+  do {                                                \
+    if (!(expr)) {                                    \
+      ::edea::detail::throw_invariant(#expr, (msg));  \
+    }                                                 \
   } while (false)

@@ -83,15 +83,47 @@ class Rng {
       return cached_;
     }
     double u1 = 0.0;
+    double u2 = 0.0;
+    box_muller_uniforms(u1, u2);
+    double first = 0.0;
+    box_muller(u1, u2, first, cached_);
+    has_cached_ = true;
+    return first;
+  }
+
+  /// The uniform pair one Box-Muller step of normal() consumes: u1 in
+  /// (0, 1) by rejection, then u2 in [0, 1).
+  void box_muller_uniforms(double& u1, double& u2) noexcept {
     do {
       u1 = uniform();
     } while (u1 <= 0.0);
-    const double u2 = uniform();
+    u2 = uniform();
+  }
+
+  /// The Box-Muller transform of one uniform pair: `first` is the variate
+  /// normal() returns, `second` the one it caches.
+  static void box_muller(double u1, double u2, double& first,
+                         double& second) noexcept {
     const double mag = std::sqrt(-2.0 * std::log(u1));
     constexpr double kTwoPi = 6.283185307179586476925286766559;
-    cached_ = mag * std::sin(kTwoPi * u2);
+    second = mag * std::sin(kTwoPi * u2);
+    first = mag * std::cos(kTwoPi * u2);
+  }
+
+  /// Hands out the cached second variate, if normal() left one. With
+  /// cache_normal() this lets a bulk draw continue and leave the stream
+  /// exactly where the equivalent normal() calls would.
+  bool take_cached_normal(double& out) noexcept {
+    if (!has_cached_) return false;
+    has_cached_ = false;
+    out = cached_;
+    return true;
+  }
+
+  /// Makes `value` the variate the next normal() returns.
+  void cache_normal(double value) noexcept {
+    cached_ = value;
     has_cached_ = true;
-    return mag * std::cos(kTwoPi * u2);
   }
 
   /// Normal with the given mean and standard deviation.

@@ -23,6 +23,9 @@
 
 #include "core/run_result.hpp"
 #include "core/sweep_runner.hpp"
+#include "service/session.hpp"
+#include "service/simulation_service.hpp"
+#include "service/transport.hpp"
 
 namespace edea::service {
 namespace {
@@ -308,6 +311,26 @@ TEST(ProtocolGoldenTest, GoldenRequestsRoundTripThroughTheParser) {
   }
   EXPECT_FALSE(have_request) << "trailing '>' line without a result";
   EXPECT_GE(checked, 20) << "golden file lost its parse section";
+}
+
+TEST(ProtocolGoldenTest, InfeasibleRequestRepliesWithoutASourcePath) {
+  // error_outcome() above is hand-built; this serves the same kind of
+  // failure for real. The message comes from a precondition deep in the
+  // simulator and must reach the wire as the expression and reason only,
+  // never the path of the file that checked it - reply bytes may not
+  // depend on where the tree was built.
+  std::istringstream in("run mobilenet-0.25x seed=3 kernel=5\n");
+  std::ostringstream out;
+  StdioStream stream(in, out);
+  SimulationService service;
+  WorkloadCatalog catalog;
+  (void)Session(service, catalog).serve(stream);
+  EXPECT_EQ(out.str(),
+            "error mobilenet-0.25x@3 "
+            "EdeaConfig{Tn=2,Tm=2,Td=8,Tk=16,k=5,init=9,tile=8,clk=1GHz} "
+            "backend=edea cache=miss msg=precondition failed: "
+            "(spec.kernel == config_.kernel) - layer kernel 3 does not match "
+            "the engine's 5x5 datapath\n");
 }
 
 }  // namespace

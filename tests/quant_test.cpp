@@ -72,6 +72,16 @@ TEST(QuantizeTensor, ElementwiseAndShapePreserving) {
   EXPECT_EQ(q(1, 1), 20);
 }
 
+TEST(QuantizeTensor, RejectsANonPositiveScaleBeforeAnyElement) {
+  // The scale is checked once per tensor, so even a tensor with no
+  // elements is refused; the per-element API keeps its own check.
+  const FloatTensor t(Shape{2, 2}, 1.0f);
+  EXPECT_THROW((void)quantize_tensor(t, QuantScale{0.0f}), PreconditionError);
+  EXPECT_THROW((void)quantize_tensor(FloatTensor(), QuantScale{-1.0f}),
+               PreconditionError);
+  EXPECT_THROW((void)QuantScale{0.0f}.quantize(1.0f), PreconditionError);
+}
+
 // --------------------------------------------------------------- folding ---
 
 BatchNormParams random_bn(int channels, Rng& rng) {
