@@ -222,6 +222,103 @@ TEST(CachePersistenceTest, SavedFileBytesAreDeterministic) {
   std::remove(path_b.c_str());
 }
 
+/// FNV-1a digest of a whole file, for pinning file bytes across commits.
+std::uint64_t file_digest(const std::string& path) {
+  const std::string bytes = read_file(path);
+  return util::Fnv1a64().bytes(bytes.data(), bytes.size()).digest();
+}
+
+TEST(CachePersistenceTest, FileBytesMatchPinnedDigest) {
+  // SavedFileBytesAreDeterministic proves one build writes one file; this
+  // pins the bytes themselves, so a refactor of the entry encoding cannot
+  // change the on-disk format without a version bump. The entry set
+  // exercises every key field: both backends, batch, dilation, depth
+  // multiplier, a non-default clock, and an error entry.
+  const std::string path = temp_cache_path("pinned");
+  Fixture fx;
+  std::vector<core::SweepJob> jobs;
+  jobs.push_back(fx.job("plain"));
+  jobs.push_back(fx.job("serialized"));
+  jobs.back().backend = "serialized";
+  jobs.push_back(fx.job("batched"));
+  jobs.back().batch = 2;
+  jobs.push_back(fx.job("dilated"));
+  jobs.back().dilation = 2;
+  jobs.push_back(fx.job("multiplied"));
+  jobs.back().depth_multiplier = 2;
+  jobs.push_back(fx.job("slow-clock"));
+  jobs.back().config.clock_ghz = 0.5;
+  jobs.push_back(fx.infeasible("infeasible"));
+  {
+    SimulationService svc;
+    const std::vector<core::SweepOutcome> outcomes = svc.serve(jobs);
+    EXPECT_FALSE(outcomes.back().ok);
+    EXPECT_EQ(svc.save_cache(path), jobs.size());
+  }
+  EXPECT_EQ(read_file(path).size(), std::size_t{1019});
+  EXPECT_EQ(file_digest(path), std::uint64_t{0xd65f28148beae9c0})
+      << std::hex << "file digest 0x" << file_digest(path);
+  std::remove(path.c_str());
+}
+
+/// A v4 cache file with one entry naming these key fields and a valid
+/// digest - well-formed framing around whatever the entry names.
+std::string v4_file(const std::string& backend, std::int32_t batch,
+                    std::int32_t dilation, std::int32_t depth_multiplier) {
+  util::ByteWriter w;
+  w.pod(std::uint64_t{0x0053414341454445ull});  // "EDEACAS\0" magic
+  w.pod(std::uint32_t{4});                      // version
+  w.pod(std::uint64_t{1});                      // entry count
+  w.pod(std::uint64_t{0x1234});                 // fingerprint
+  core::EdeaConfig::paper().encode(w);
+  w.str(backend);
+  w.pod(batch);
+  w.pod(dilation);
+  w.pod(depth_multiplier);
+  w.pod(std::uint8_t{1});  // ok
+  w.str("");               // error text
+  core::RunSummary{}.encode(w);
+  const std::uint64_t digest =
+      util::Fnv1a64().bytes(w.buffer().data(), w.buffer().size()).digest();
+  std::string bytes(w.buffer().data(), w.buffer().size());
+  bytes.append(reinterpret_cast<const char*>(&digest), sizeof(digest));
+  return bytes;
+}
+
+TEST(CachePersistenceTest, ChecksumValidEntriesWithBadDimensionsAreRejected) {
+  // The digest only proves the bytes are the ones written; it says nothing
+  // about whether the entry names a point the service could ever serve.
+  const std::string path = temp_cache_path("bad_dimensions");
+  Fixture fx;
+  SimulationService svc;
+  ASSERT_TRUE(svc.submit(fx.job("live")).get().ok);
+  const struct {
+    const char* what;
+    std::string bytes;
+  } cases[] = {
+      {"unknown backend", v4_file("warp-drive", 1, 1, 1)},
+      {"batch 0", v4_file("edea", 0, 1, 1)},
+      {"dilation 0", v4_file("edea", 1, 0, 1)},
+      {"depth_multiplier 0", v4_file("edea", 1, 1, 0)},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.what);
+    write_file(path, c.bytes);
+    try {
+      (void)svc.load_cache(path);
+      ADD_FAILURE() << "an entry with " << c.what << " must be rejected";
+    } catch (const PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(svc.cache_stats().entries, 1u);  // the live entry only
+  }
+  // The well-formed control loads.
+  write_file(path, v4_file("edea", 1, 1, 1));
+  EXPECT_EQ(svc.load_cache(path), 1u);
+  std::remove(path.c_str());
+}
+
 TEST(CachePersistenceTest, MissingFileIsAFreshStartNotAnError) {
   SimulationService svc;
   EXPECT_EQ(svc.load_cache(temp_cache_path("does_not_exist")), 0u);
