@@ -60,14 +60,11 @@ std::pair<std::string, std::string> split_cache_token(
 /// The in-process reference: the exact stdio code path (Session over
 /// string streams against a fresh default service), producing the
 /// response lines the stdio driver would print for `request_lines`.
-/// `default_backend` mirrors the server's --backend ("" = protocol
-/// default); `default_batch` its --batch, `default_dilation` its
-/// --dilation, `default_depth_multiplier` its --depth-multiplier (0 =
-/// protocol default).
+/// `defaults` mirrors the server's --backend / --batch / --dilation /
+/// --depth-multiplier.
 std::vector<std::string> reference_responses(
     const std::vector<std::string>& request_lines,
-    const std::string& default_backend, int default_batch,
-    int default_dilation, int default_depth_multiplier) {
+    const edea::core::DesignPoint& defaults) {
   std::ostringstream joined;
   for (const std::string& line : request_lines) joined << line << "\n";
   std::istringstream in(joined.str());
@@ -77,12 +74,7 @@ std::vector<std::string> reference_responses(
   edea::service::WorkloadCatalog catalog;
   edea::service::StdioStream stream(in, out);
   edea::service::SessionOptions options;
-  if (!default_backend.empty()) options.backend = default_backend;
-  if (default_batch != 0) options.batch = default_batch;
-  if (default_dilation != 0) options.dilation = default_dilation;
-  if (default_depth_multiplier != 0) {
-    options.depth_multiplier = default_depth_multiplier;
-  }
+  options.defaults = defaults;
   (void)edea::service::Session(svc, catalog, options).serve(stream);
 
   std::vector<std::string> lines;
@@ -170,8 +162,7 @@ int main(int argc, char** argv) {
   if (!config.verify) return 0;
 
   const std::vector<std::string> expected =
-      reference_responses(request_lines, config.backend, config.batch,
-                          config.dilation, config.depth_multiplier);
+      reference_responses(request_lines, config.defaults);
   bool all_ok = true;
   if (responses.size() != expected.size()) {
     std::cerr << "VERIFY FAIL: " << responses.size() << " responses, expected "

@@ -20,9 +20,8 @@
 #include <csignal>
 #include <cstdint>
 #include <iostream>
-#include <map>
 #include <string>
-#include <tuple>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -32,6 +31,7 @@
 #include "service/session.hpp"
 #include "service/simulation_service.hpp"
 #include "service/transport.hpp"
+#include "util/hash.hpp"
 
 namespace {
 
@@ -39,6 +39,9 @@ using edea::core::SweepJob;
 using edea::core::SweepOutcome;
 
 bool outcome_identical(const SweepOutcome& served, const SweepOutcome& serial) {
+  // The echoed point too: a hit that echoes another backend, batch or
+  // transform formats a wrong line even when its summary matches.
+  if (served.point() != serial.point()) return false;
   if (served.ok != serial.ok || served.error != serial.error) return false;
   if (!served.ok) return true;
   if (served.summary_only) {
@@ -84,24 +87,23 @@ bool verify_session(const edea::service::SessionStats& stats,
   }
 
   // Structural cache accounting: within one session, the first occurrence
-  // of each (workload, config, backend, batch, dilation, depth_multiplier)
-  // key either simulates (a miss) or lands in the preloaded persisted
-  // cache (a hit); every repeat is a hit.
+  // of each (workload, design point) key either simulates (a miss) or
+  // lands in the preloaded persisted cache (a hit); every repeat is a hit.
   // This prediction only holds when nothing gets evicted, i.e. the
   // capacity covers every distinct key; with a smaller --cache, eviction
   // timing decides which repeats re-simulate, so only bit-identity is
   // checked.
-  std::map<
-      std::tuple<std::uint64_t, std::uint64_t, std::string, int, int, int>,
-      int>
-      seen;
+  using Key = std::pair<std::uint64_t, edea::core::DesignPoint>;
+  const auto key_hash = [](const Key& k) {
+    return static_cast<std::size_t>(
+        edea::util::Fnv1a64().pod(k.first).pod(k.second.hash()).digest());
+  };
+  std::unordered_map<Key, int, decltype(key_hash)> seen(0, key_hash);
   std::uint64_t expect_misses = 0;
   for (std::size_t i = 0; i < stats.jobs.size(); ++i) {
     const SweepJob& job = stats.jobs[i];
-    const auto key = std::make_tuple(
-        edea::core::network_fingerprint(*job.layers, *job.input),
-        job.config.hash(), stats.outcomes[i].backend, job.batch, job.dilation,
-        job.depth_multiplier);
+    const Key key{edea::core::network_fingerprint(*job.layers, *job.input),
+                  job.point()};
     if (seen[key]++ == 0 && !stats.outcomes[i].summary_only) ++expect_misses;
   }
   if (cache_capacity >= seen.size()) {
@@ -197,10 +199,7 @@ int main(int argc, char** argv) {
     std::signal(SIGINT, handle_stop_signal);
     std::signal(SIGTERM, handle_stop_signal);
     service::SessionOptions session_options;
-    session_options.backend = config.backend;
-    session_options.batch = config.batch;
-    session_options.dilation = config.dilation;
-    session_options.depth_multiplier = config.depth_multiplier;
+    session_options.defaults = config.defaults;
     session_options.allow_unordered = !config.ordered;
     session_options.busy_retry_ms = config.busy_retry_ms;
     transport.serve([&](service::Stream& stream) {
@@ -213,10 +212,7 @@ int main(int argc, char** argv) {
     // --- stdio mode: one session over stdin/stdout ------------------------
     service::SessionOptions session_options;
     session_options.record_traffic = config.verify;
-    session_options.backend = config.backend;
-    session_options.batch = config.batch;
-    session_options.dilation = config.dilation;
-    session_options.depth_multiplier = config.depth_multiplier;
+    session_options.defaults = config.defaults;
     session_options.allow_unordered = !config.ordered;
     session_options.busy_retry_ms = config.busy_retry_ms;
     service::StdioStream stream(std::cin, std::cout);

@@ -15,33 +15,15 @@ SweepOutcome evaluate_job(const SweepJob& job, int tile_parallelism) {
                "sweep job '" + job.name + "' must reference a network");
   EDEA_REQUIRE(tile_parallelism >= 1,
                "tile_parallelism must be >= 1 (1 = serial tiles)");
-  EDEA_REQUIRE(job.batch >= 1, "sweep job '" + job.name +
-                                   "' must run a positive batch, got " +
-                                   std::to_string(job.batch));
-  EDEA_REQUIRE(job.dilation >= 1, "sweep job '" + job.name +
-                                      "' must have dilation >= 1, got " +
-                                      std::to_string(job.dilation));
-  EDEA_REQUIRE(job.depth_multiplier >= 1,
-               "sweep job '" + job.name +
-                   "' must have depth_multiplier >= 1, got " +
-                   std::to_string(job.depth_multiplier));
-  const std::string backend_id =
-      job.backend.empty() ? std::string(kDefaultBackendId) : job.backend;
-  EDEA_REQUIRE(backend_known(backend_id),
-               "sweep job '" + job.name + "' names unknown backend '" +
-                   backend_id + "' (known: " + known_backends_string() + ")");
+  job.validate("sweep job", job.name);
   SweepOutcome out;
+  out.point() = job;
   out.name = job.name;
-  out.config = job.config;
-  out.backend = backend_id;
-  out.batch = job.batch;
-  out.dilation = job.dilation;
-  out.depth_multiplier = job.depth_multiplier;
   try {
     // The backend constructor validates the configuration; an infeasible
     // point throws here or during the run, and either way is data.
     std::unique_ptr<AcceleratorBackend> accel =
-        make_backend(backend_id, job.config);
+        make_backend(job.backend, job.config);
     accel->set_tile_parallelism(tile_parallelism);
     std::vector<NetworkRunResult> images =
         accel->run_network_batch(*job.layers, *job.input, job.batch);
@@ -98,14 +80,11 @@ std::vector<SweepOutcome> SweepRunner::run(
   // tile_parallelism workers (those always borrow the process-wide shared
   // pool, never this sweep's dedicated one - see docs/ARCHITECTURE.md).
   const int tile_parallelism = options_.tile_parallelism;
-  const std::string& default_backend = options_.backend;
   util::run_indexed(
       options_.parallelism, static_cast<std::int64_t>(jobs.size()),
-      [&jobs, &outcomes, tile_parallelism, &default_backend](std::int64_t i) {
-        SweepJob job = jobs[static_cast<std::size_t>(i)];
-        if (job.backend.empty()) job.backend = default_backend;
-        outcomes[static_cast<std::size_t>(i)] =
-            evaluate_job(job, tile_parallelism);
+      [&jobs, &outcomes, tile_parallelism](std::int64_t i) {
+        outcomes[static_cast<std::size_t>(i)] = evaluate_job(
+            jobs[static_cast<std::size_t>(i)], tile_parallelism);
       });
   return outcomes;
 }

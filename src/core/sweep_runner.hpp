@@ -13,8 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "core/backend.hpp"
-#include "core/config.hpp"
+#include "core/design_point.hpp"
 #include "core/run_result.hpp"
 #include "nn/layers.hpp"
 #include "nn/tensor.hpp"
@@ -25,33 +24,16 @@ class ThreadPool;
 
 namespace edea::core {
 
-/// One simulation job: run `layers` on an accelerator built from `config`,
-/// starting from `input`. The pointed-to network and tensor must outlive
-/// the sweep; they are never written.
-struct SweepJob {
+/// One simulation job: run `layers` on an accelerator built from the
+/// job's design point, starting from `input`. The pointed-to network and
+/// tensor must outlive the sweep; they are never written. The point's
+/// dilation and depth_multiplier are already baked into every layer spec
+/// by whoever materialized `layers` (see WorkloadCatalog::resolve); they
+/// are carried so outcomes echo them and the service cache keys on them.
+struct SweepJob : DesignPoint {
   std::string name;
-  EdeaConfig config = EdeaConfig::paper();
   const std::vector<nn::QuantDscLayer>* layers = nullptr;
   const nn::Int8Tensor* input = nullptr;
-  /// Accelerator backend id (core/backend.hpp id table) this job simulates
-  /// on. Empty means "the caller's default": evaluate_job resolves it to
-  /// kDefaultBackendId, SweepRunner to its SweepOptions::backend. An
-  /// unknown id is a PreconditionError - a typo'd backend is a caller bug,
-  /// not a design point.
-  std::string backend;
-  /// Images to run through one planned setup
-  /// (AcceleratorBackend::run_network_batch). Per-image arithmetic and
-  /// timing are bit-identical to `batch` standalone runs; only the
-  /// summary's peak_arena_bytes reflects the batched plan. < 1 is a
-  /// PreconditionError.
-  int batch = 1;
-  /// Workload-transform knobs the resolver applied when materializing
-  /// `layers` (see WorkloadCatalog::resolve): the DWC dilation and the
-  /// extra depth multiplier. Already baked into every layer spec - carried
-  /// here so outcomes can echo them and the service cache can key on them
-  /// without re-deriving from the layers. < 1 is a PreconditionError.
-  int dilation = 1;
-  int depth_multiplier = 1;
   /// Precomputed network_fingerprint(*layers, *input), or 0 for "not
   /// computed". Hashing a workload touches every weight and input byte -
   /// hundreds of microseconds for real networks - so callers that submit
@@ -64,22 +46,10 @@ struct SweepJob {
 /// Result of one job. A job whose configuration cannot map the network
 /// (ResourceError, PreconditionError, ...) reports the failure in `error`
 /// instead of aborting the sweep - infeasible points are data in a DSE.
-struct SweepOutcome {
+/// The design point is the job's, echoed for the protocol line and keyed
+/// by the service cache.
+struct SweepOutcome : DesignPoint {
   std::string name;
-  EdeaConfig config;
-  /// The resolved backend id this outcome was simulated on (never empty -
-  /// an empty SweepJob::backend resolves before evaluation). Part of the
-  /// protocol line and of the service cache key: the same workload and
-  /// configuration on different dataflows are different experiments.
-  std::string backend = std::string(kDefaultBackendId);
-  /// The job's batch size, echoed for the protocol line (batch > 1 is a
-  /// distinct cache key: its arena plan and peak differ).
-  int batch = 1;
-  /// The job's workload-transform knobs, echoed for the protocol line
-  /// (each > 1 is a distinct cache key: the transformed network computes
-  /// something else).
-  int dilation = 1;
-  int depth_multiplier = 1;
   bool ok = false;
   std::string error;
   NetworkRunResult result;
@@ -120,11 +90,6 @@ struct SweepOptions {
   /// bit-identical at every width.
   int tile_parallelism = 1;
 
-  /// Backend id applied to jobs whose SweepJob::backend is empty - the
-  /// sweep-wide default dataflow. Jobs naming their own backend override
-  /// it, so one sweep can mix backends (the cross-dataflow experiment).
-  std::string backend = std::string(kDefaultBackendId);
-
   void validate() const {
     EDEA_REQUIRE(
         parallelism >= 0,
@@ -132,21 +97,19 @@ struct SweepOptions {
     EDEA_REQUIRE(tile_parallelism >= 1,
                  "tile_parallelism must be >= 1 (1 = serial tiles; there is "
                  "no auto policy at tile level)");
-    EDEA_REQUIRE(backend_known(backend),
-                 "unknown sweep backend '" + backend +
-                     "' (known: " + known_backends_string() + ")");
   }
 };
 
 /// Runs one job on a fresh accelerator built from the job's backend id
-/// through make_backend (empty resolves to kDefaultBackendId). Never
+/// through make_backend. Never
 /// propagates simulation failures: an infeasible configuration
 /// (ResourceError, ...) comes back with ok == false and the failure text
 /// in `error`, so callers that fan jobs out (SweepRunner, the simulation
 /// service) can treat infeasible points as data. Null network/input
 /// pointers are still a hard PreconditionError - that is a caller bug,
 /// not a design point - and so are a tile_parallelism < 1 (see
-/// SweepOptions::tile_parallelism) and an unknown backend id.
+/// SweepOptions::tile_parallelism) and a point DesignPoint::validate
+/// rejects.
 [[nodiscard]] SweepOutcome evaluate_job(const SweepJob& job,
                                         int tile_parallelism = 1);
 

@@ -1,36 +1,10 @@
 #include "service/client_cli.hpp"
 
-#include <limits>
 #include <stdexcept>
 
-#include "core/backend.hpp"
 #include "service/protocol.hpp"
 
 namespace edea::service {
-
-namespace {
-
-/// Digit-first positive int, mirroring server_cli's parse_count grammar.
-bool parse_positive(const std::string& value, int* out) {
-  if (value.empty() || value.front() < '0' || value.front() > '9') {
-    return false;
-  }
-  try {
-    std::size_t consumed = 0;
-    const unsigned long parsed = std::stoul(value, &consumed);
-    if (consumed != value.size() || parsed < 1 ||
-        parsed > static_cast<unsigned long>(
-                     std::numeric_limits<int>::max())) {
-      return false;
-    }
-    *out = static_cast<int>(parsed);
-    return true;
-  } catch (const std::exception&) {
-    return false;
-  }
-}
-
-}  // namespace
 
 std::string client_usage() {
   return
@@ -96,44 +70,19 @@ ClientConfig parse_client_args(int argc, const char* const* argv) {
   for (int i = 0; i < argc && config.error.empty(); ++i) {
     const std::string arg = argv[i];
     std::string value;
+    if (parse_design_flag(argc, argv, i, config.defaults, config.error)) {
+      continue;
+    }
     if (arg == "--help") {
       config.help = true;
     } else if (arg == "--verify") {
       config.verify = true;
     } else if (arg == "--expect-all-hits") {
       config.expect_all_hits = true;
-    } else if (arg == "--backend") {
-      if (!value_of(i, arg, &value)) break;
-      if (!core::backend_known(value)) {
-        config.error = "--backend: unknown backend '" + value + "' (known: " +
-                       core::known_backends_string() + ")";
-        break;
-      }
-      config.backend = value;
-    } else if (arg == "--batch") {
-      if (!value_of(i, arg, &value)) break;
-      if (!parse_positive(value, &config.batch)) {
-        config.error = "--batch needs a positive count, got '" + value + "'";
-        break;
-      }
-    } else if (arg == "--dilation") {
-      if (!value_of(i, arg, &value)) break;
-      if (!parse_positive(value, &config.dilation)) {
-        config.error =
-            "--dilation needs a positive count, got '" + value + "'";
-        break;
-      }
-    } else if (arg == "--depth-multiplier") {
-      if (!value_of(i, arg, &value)) break;
-      if (!parse_positive(value, &config.depth_multiplier)) {
-        config.error =
-            "--depth-multiplier needs a positive count, got '" + value + "'";
-        break;
-      }
     } else if (arg == "--pipeline") {
       if (!value_of(i, arg, &value)) break;
       int window = 0;
-      if (!parse_positive(value, &window) || window > kMaxFrameLines) {
+      if (!parse_strict_count(value, &window) || window > kMaxFrameLines) {
         config.error = "--pipeline needs a window in [1, " +
                        std::to_string(kMaxFrameLines) + "], got '" + value +
                        "'";

@@ -9,6 +9,8 @@
 #include <cstdint>
 #include <string>
 
+#include "core/design_point.hpp"
+
 namespace edea::service {
 
 /// Parsed client command line. `error` empty means the parse succeeded.
@@ -19,20 +21,11 @@ struct ClientConfig {
   bool connect_given = false;
   bool verify = false;           ///< --verify: byte-compare vs stdio reference
   bool expect_all_hits = false;  ///< --expect-all-hits: persisted replay
-  /// --backend ID: default backend of the *in-process reference* session
-  /// --verify recomputes against. Must mirror the server's --backend or
-  /// the reference diverges by construction. Validated against the
-  /// backend id table at parse time.
-  std::string backend;  ///< empty = the protocol default ("edea")
-  /// --batch N: default batch of the in-process --verify reference. Must
-  /// mirror the server's --batch for the same reason. Validated >= 1 at
-  /// parse time; 0 = the protocol default (1).
-  int batch = 0;
-  /// --dilation N / --depth-multiplier N: default workload transforms of
-  /// the in-process --verify reference. Must mirror the server's flags.
-  /// Validated >= 1 at parse time; 0 = the protocol default (1).
-  int dilation = 0;
-  int depth_multiplier = 0;
+  /// --backend / --batch / --dilation / --depth-multiplier: the default
+  /// design point of the in-process reference session --verify
+  /// recomputes against (parse_design_flag). Must mirror the server's
+  /// flags or the reference diverges by construction.
+  core::DesignPoint defaults;
   /// --pipeline N: keep up to N requests in flight using batch frames and
   /// `mode unordered` streaming (service/pipeline_client.hpp); responses
   /// still print in request order, so --verify composes. Validated in

@@ -1,9 +1,11 @@
 #include "service/protocol.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <iomanip>
 #include <limits>
 #include <sstream>
+#include <string_view>
 #include <vector>
 
 namespace edea::service {
@@ -40,68 +42,87 @@ bool parse_double(const std::string& text, double* out) {
   }
 }
 
-/// Applies one key=value override to a request. Returns an error message,
-/// empty on success.
-std::string apply_override(Request& request, const std::string& key,
-                           const std::string& value) {
-  if (key == "seed") {
-    if (!parse_strict_u64(value, &request.seed)) {
-      return "bad seed '" + value + "'";
-    }
-    return "";
+std::string set_seed(Request& request, std::string_view,
+                     const std::string& value) {
+  if (parse_strict_u64(value, &request.seed)) return "";
+  return "bad seed '" + value + "'";
+}
+
+std::string set_backend(Request& request, std::string_view,
+                        const std::string& value) {
+  if (!core::backend_known(value)) {
+    return "unknown backend '" + value +
+           "' (known: " + core::known_backends_string() + ")";
   }
-  if (key == "batch") {
-    if (!parse_strict_count(value, &request.batch)) {
-      return "bad batch '" + value + "' (want a plain integer >= 1)";
-    }
-    return "";
-  }
-  if (key == "dilation") {
-    if (!parse_strict_count(value, &request.dilation)) {
-      return "bad dilation '" + value + "' (want a plain integer >= 1)";
-    }
-    return "";
-  }
-  if (key == "depth_multiplier") {
-    if (!parse_strict_count(value, &request.depth_multiplier)) {
-      return "bad depth_multiplier '" + value +
-             "' (want a plain integer >= 1)";
-    }
-    return "";
-  }
-  if (key == "backend") {
-    if (!core::backend_known(value)) {
-      return "unknown backend '" + value +
-             "' (known: " + core::known_backends_string() + ")";
-    }
-    request.backend = value;
-    return "";
-  }
-  if (key == "clock_ghz") {
-    if (!parse_double(value, &request.config.clock_ghz)) {
-      return "bad clock_ghz '" + value + "'";
-    }
-    return "";
-  }
-  int* field = nullptr;
-  core::EdeaConfig& c = request.config;
-  if (key == "tn") field = &c.tn;
-  else if (key == "tm") field = &c.tm;
-  else if (key == "td") field = &c.td;
-  else if (key == "tk") field = &c.tk;
-  else if (key == "kernel") field = &c.kernel;
-  else if (key == "init_cycles") field = &c.init_cycles;
-  else if (key == "max_tile_out") field = &c.max_tile_out;
-  if (field == nullptr) return "unknown key '" + key + "'";
-  // Every integer key shares the strict grammar: "+4", " 4", "4x", and
-  // out-of-range values are all protocol errors naming the value, not
-  // config-validation surprises downstream. (Config overrides allow 0 -
-  // init_cycles=0 is a valid configuration; EdeaConfig::validate owns the
-  // per-field semantic ranges.)
-  if (!parse_strict_int(value, field)) {
-    return "bad value '" + value + "' for key '" + key + "'";
-  }
+  request.backend = value;
   return "";
+}
+
+std::string set_clock(Request& request, std::string_view,
+                      const std::string& value) {
+  if (parse_double(value, &request.config.clock_ghz)) return "";
+  return "bad clock_ghz '" + value + "'";
+}
+
+// Every integer key shares the strict grammar: "+4", " 4", "4x", and
+// out-of-range values are all protocol errors naming the value, not
+// config-validation surprises downstream. (Config overrides allow 0 -
+// init_cycles=0 is a valid configuration; EdeaConfig::validate owns the
+// per-field semantic ranges.)
+template <int core::EdeaConfig::*Field>
+std::string set_config_int(Request& request, std::string_view key,
+                           const std::string& value) {
+  if (parse_strict_int(value, &(request.config.*Field))) return "";
+  return "bad value '" + value + "' for key '" + std::string(key) + "'";
+}
+
+/// One `key=value` request key. The table below is the protocol's only
+/// per-key code: parsing, the outcome-line echo, and the CLI default
+/// flags all walk it.
+struct KeyRow {
+  std::string_view key;
+  /// Parses `value` into the request; returns the protocol error, empty
+  /// on success. Null for count rows.
+  std::string (*set)(Request&, std::string_view key, const std::string&);
+  /// Count rows: the DesignPoint field the key sets, under the strict
+  /// count grammar (>= 1). Echoed in outcome lines as ` key=<n>` when
+  /// n > 1, in table order, so default-valued replies keep their bytes.
+  int core::DesignPoint::*count = nullptr;
+  /// Also a command-line default flag (parse_design_flag).
+  bool cli_flag = false;
+};
+
+constexpr KeyRow kKeys[] = {
+    {"seed", &set_seed},
+    {"backend", &set_backend, nullptr, true},
+    {"batch", nullptr, &core::DesignPoint::batch, true},
+    {"dilation", nullptr, &core::DesignPoint::dilation, true},
+    {"depth_multiplier", nullptr, &core::DesignPoint::depth_multiplier, true},
+    {"clock_ghz", &set_clock},
+    {"tn", &set_config_int<&core::EdeaConfig::tn>},
+    {"tm", &set_config_int<&core::EdeaConfig::tm>},
+    {"td", &set_config_int<&core::EdeaConfig::td>},
+    {"tk", &set_config_int<&core::EdeaConfig::tk>},
+    {"kernel", &set_config_int<&core::EdeaConfig::kernel>},
+    {"init_cycles", &set_config_int<&core::EdeaConfig::init_cycles>},
+    {"max_tile_out", &set_config_int<&core::EdeaConfig::max_tile_out>},
+};
+
+const KeyRow* find_key(std::string_view key) {
+  for (const KeyRow& row : kKeys) {
+    if (row.key == key) return &row;
+  }
+  return nullptr;
+}
+
+/// Applies one key=value override through its row. Returns an error
+/// message, empty on success.
+std::string apply_key(const KeyRow& row, Request& request,
+                      const std::string& value) {
+  if (row.count == nullptr) return row.set(request, row.key, value);
+  if (parse_strict_count(value, &(request.*row.count))) return "";
+  return "bad " + std::string(row.key) + " '" + value +
+         "' (want a plain integer >= 1)";
 }
 
 /// Strict digit run starting at `pos`; advances pos past it. Returns
@@ -176,28 +197,11 @@ std::string Request::job_name() const {
 }
 
 ParsedLine parse_request_line(const std::string& line,
-                              const std::string& default_backend,
-                              int default_batch, int default_dilation,
-                              int default_depth_multiplier) {
-  EDEA_REQUIRE(core::backend_known(default_backend),
-               "default backend '" + default_backend +
-                   "' is not registered (known: " +
-                   core::known_backends_string() + ")");
-  EDEA_REQUIRE(default_batch >= 1,
-               "default batch must be >= 1, got " +
-                   std::to_string(default_batch));
-  EDEA_REQUIRE(default_dilation >= 1,
-               "default dilation must be >= 1, got " +
-                   std::to_string(default_dilation));
-  EDEA_REQUIRE(default_depth_multiplier >= 1,
-               "default depth multiplier must be >= 1, got " +
-                   std::to_string(default_depth_multiplier));
+                              const core::DesignPoint& defaults) {
+  defaults.validate("request defaults");
   const std::vector<std::string> tokens = tokenize(line);
   ParsedLine parsed;
-  parsed.request.backend = default_backend;
-  parsed.request.batch = default_batch;
-  parsed.request.dilation = default_dilation;
-  parsed.request.depth_multiplier = default_depth_multiplier;
+  parsed.request.point() = defaults;
   if (tokens.empty() || tokens.front().front() == '#') {
     return parsed;  // kEmpty
   }
@@ -260,8 +264,11 @@ ParsedLine parse_request_line(const std::string& line,
     if (eq == std::string::npos || eq == 0 || eq + 1 >= token.size()) {
       return malformed("expected key=value, got '" + token + "'");
     }
-    const std::string err = apply_override(
-        parsed.request, token.substr(0, eq), token.substr(eq + 1));
+    const std::string key = token.substr(0, eq);
+    const KeyRow* row = find_key(key);
+    if (row == nullptr) return malformed("unknown key '" + key + "'");
+    const std::string err =
+        apply_key(*row, parsed.request, token.substr(eq + 1));
     if (!err.empty()) return malformed(err);
   }
   return parsed;
@@ -269,20 +276,17 @@ ParsedLine parse_request_line(const std::string& line,
 
 std::string format_outcome_line(const core::SweepOutcome& outcome) {
   const std::string cache = outcome.cache_hit ? "hit" : "miss";
-  // Default-valued knobs stay silent: echoing batch/dilation/
-  // depth_multiplier only when the request actually set them keeps every
-  // pre-existing response byte-stable.
-  std::string batch =
-      outcome.batch > 1 ? " batch=" + std::to_string(outcome.batch) : "";
-  if (outcome.dilation > 1) {
-    batch += " dilation=" + std::to_string(outcome.dilation);
-  }
-  if (outcome.depth_multiplier > 1) {
-    batch += " depth_multiplier=" + std::to_string(outcome.depth_multiplier);
+  // Default-valued counts stay silent: echoing them only when the request
+  // actually set them keeps every pre-existing response byte-stable.
+  std::string counts;
+  for (const KeyRow& row : kKeys) {
+    if (row.count == nullptr || outcome.*row.count <= 1) continue;
+    counts.append(" ").append(row.key).append("=").append(
+        std::to_string(outcome.*row.count));
   }
   if (!outcome.ok) {
     return "error " + outcome.name + " " + outcome.config.to_string() +
-           " backend=" + outcome.backend + batch + " cache=" + cache +
+           " backend=" + outcome.backend + counts + " cache=" + cache +
            " msg=" + outcome.error;
   }
   // The captured summary, not a recomputation from `result`: outcomes
@@ -290,12 +294,38 @@ std::string format_outcome_line(const core::SweepOutcome& outcome) {
   // the summary, and both kinds must format bit-identically.
   const core::RunSummary& s = outcome.summary;
   return "ok " + outcome.name + " " + outcome.config.to_string() +
-         " backend=" + outcome.backend + batch +
+         " backend=" + outcome.backend + counts +
          " cycles=" + std::to_string(s.total_cycles) +
          " ops=" + std::to_string(s.total_ops) +
          " gops=" + format_gops(s.average_gops) +
          " layers=" + std::to_string(s.layer_count) +
          " out=" + format_hex64(s.output_hash) + " cache=" + cache;
+}
+
+bool parse_design_flag(int argc, const char* const* argv, int& i,
+                       core::DesignPoint& defaults, std::string& error) {
+  const std::string flag = argv[i];
+  if (flag.rfind("--", 0) != 0) return false;
+  std::string key = flag.substr(2);
+  std::replace(key.begin(), key.end(), '-', '_');
+  const KeyRow* row = find_key(key);
+  if (row == nullptr || !row->cli_flag) return false;
+  if (i + 1 >= argc) {
+    error = flag + " needs a value";
+    return true;
+  }
+  const std::string value = argv[++i];
+  Request request;
+  request.point() = defaults;
+  const std::string err = apply_key(*row, request, value);
+  if (err.empty()) {
+    defaults = request.point();
+  } else if (row->count != nullptr) {
+    error = flag + " needs a positive count, got '" + value + "'";
+  } else {
+    error = flag + ": " + err;
+  }
+  return true;
 }
 
 std::string format_stats_line(const CacheStats& stats) {

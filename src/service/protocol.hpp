@@ -106,28 +106,19 @@
 #include <cstdint>
 #include <string>
 
-#include "core/backend.hpp"
-#include "core/config.hpp"
+#include "core/design_point.hpp"
 #include "core/sweep_runner.hpp"
 #include "service/simulation_service.hpp"
 
 namespace edea::service {
 
-/// A parsed `run` request.
-struct Request {
-  std::string network;             ///< model-zoo name (unresolved)
-  std::uint64_t seed = 1;          ///< synthetic weight/input seed
-  core::EdeaConfig config;         ///< paper defaults + line overrides
-  /// Resolved backend id: the line's backend= override, else the parse
-  /// call's default. Always a registered id - unknown ids never parse.
-  std::string backend = std::string(core::kDefaultBackendId);
-  /// Images per run: the line's batch= override, else the parse call's
-  /// default. Always >= 1 - non-positive values never parse.
-  int batch = 1;
-  /// Workload transforms: the line's dilation= / depth_multiplier=
-  /// overrides, else 1. Always >= 1 - non-positive values never parse.
-  int dilation = 1;
-  int depth_multiplier = 1;
+/// A parsed `run` request: the zoo network and seed, plus the design
+/// point - the parse call's defaults with the line's key=value overrides
+/// applied. Always a point DesignPoint::validate accepts: unknown backend
+/// ids, non-positive counts and non-finite clocks never parse.
+struct Request : core::DesignPoint {
+  std::string network;     ///< model-zoo name (unresolved)
+  std::uint64_t seed = 1;  ///< synthetic weight/input seed
 
   /// Canonical job name: "<network>@<seed>" - what outcome lines echo.
   [[nodiscard]] std::string job_name() const;
@@ -189,19 +180,23 @@ struct ParsedLine {
 /// Parses one request line. Never throws on wire input: malformed lines -
 /// including unknown backend= ids and non-positive batch=, dilation=, or
 /// depth_multiplier= values - are a kError result (a service must survive
-/// bad clients). `default_backend` is what `run` requests resolve to when
-/// the line carries no backend= key (the server's --backend), and
-/// `default_batch` / `default_dilation` / `default_depth_multiplier`
-/// likewise for their keys (the server's --batch / --dilation /
-/// --depth-multiplier); all are caller configuration, not wire data, so
-/// an unknown default backend or a non-positive default count is a
-/// PreconditionError.
+/// bad clients). `run` requests start from `defaults` (the server's
+/// --backend / --batch / --dilation / --depth-multiplier) and apply the
+/// line's keys on top. The defaults are caller configuration, not wire
+/// data, so a point DesignPoint::validate rejects is a PreconditionError.
 [[nodiscard]] ParsedLine parse_request_line(
-    const std::string& line,
-    const std::string& default_backend = std::string(
-        core::kDefaultBackendId),
-    int default_batch = 1, int default_dilation = 1,
-    int default_depth_multiplier = 1);
+    const std::string& line, const core::DesignPoint& defaults = {});
+
+/// The request dimensions as command-line flags, shared by the server and
+/// client CLIs: --backend ID, --batch N, --dilation N and
+/// --depth-multiplier N - the protocol keys with '_' spelled '-', under
+/// the same value grammar. When argv[i] is one of them, consumes its
+/// value (advancing i), sets the matching field of `defaults`, and
+/// returns true; a missing or bad value leaves `defaults` unchanged and
+/// sets `error`. Returns false, touching nothing, for any other argument.
+[[nodiscard]] bool parse_design_flag(int argc, const char* const* argv,
+                                     int& i, core::DesignPoint& defaults,
+                                     std::string& error);
 
 /// Formats the response line for one completed request.
 [[nodiscard]] std::string format_outcome_line(

@@ -3,6 +3,8 @@
 #include <limits>
 #include <stdexcept>
 
+#include "service/protocol.hpp"
+
 namespace edea::service {
 
 namespace {
@@ -108,6 +110,9 @@ ServerConfig parse_server_args(int argc, const char* const* argv) {
     const std::string arg = argv[i];
     std::string value;
     std::size_t count = 0;
+    if (parse_design_flag(argc, argv, i, config.defaults, config.error)) {
+      continue;
+    }
     if (arg == "--help") {
       config.help = true;
     } else if (arg == "--verify") {
@@ -138,49 +143,6 @@ ServerConfig parse_server_args(int argc, const char* const* argv) {
         break;
       }
       config.cache_file = value;
-    } else if (arg == "--backend") {
-      if (!value_of(i, arg, &value)) break;
-      if (!core::backend_known(value)) {
-        config.error = "--backend: unknown backend '" + value + "' (known: " +
-                       core::known_backends_string() + ")";
-        break;
-      }
-      config.backend = value;
-    } else if (arg == "--batch") {
-      if (!value_of(i, arg, &value)) break;
-      if (!parse_count(value,
-                       static_cast<std::size_t>(
-                           std::numeric_limits<int>::max()),
-                       &count) ||
-          count < 1) {
-        config.error = "--batch needs a positive count, got '" + value + "'";
-        break;
-      }
-      config.batch = static_cast<int>(count);
-    } else if (arg == "--dilation") {
-      if (!value_of(i, arg, &value)) break;
-      if (!parse_count(value,
-                       static_cast<std::size_t>(
-                           std::numeric_limits<int>::max()),
-                       &count) ||
-          count < 1) {
-        config.error =
-            "--dilation needs a positive count, got '" + value + "'";
-        break;
-      }
-      config.dilation = static_cast<int>(count);
-    } else if (arg == "--depth-multiplier") {
-      if (!value_of(i, arg, &value)) break;
-      if (!parse_count(value,
-                       static_cast<std::size_t>(
-                           std::numeric_limits<int>::max()),
-                       &count) ||
-          count < 1) {
-        config.error =
-            "--depth-multiplier needs a positive count, got '" + value + "'";
-        break;
-      }
-      config.depth_multiplier = static_cast<int>(count);
     } else if (arg == "--workers") {
       if (!value_of(i, arg, &value)) break;
       if (!parse_count(value, std::numeric_limits<unsigned>::max(), &count)) {

@@ -7,7 +7,7 @@
 #include <cstdint>
 #include <string>
 
-#include "core/backend.hpp"
+#include "core/design_point.hpp"
 #include "service/simulation_service.hpp"
 
 namespace edea::service {
@@ -21,17 +21,10 @@ struct ServerConfig {
   std::size_t max_sessions = 0;  ///< --max-sessions N (0 = unlimited)
   std::string cache_file;        ///< --cache-file PATH ("" = no persistence)
   ServiceOptions service;        ///< --workers / --cache / --tile-parallelism
-  /// --backend ID: default backend for requests without a backend= key.
-  /// Validated against the backend id table at parse time (default "edea").
-  std::string backend = std::string(core::kDefaultBackendId);
-  /// --batch N: default images-per-run for requests without a batch= key.
-  /// Validated >= 1 at parse time (default 1).
-  int batch = 1;
-  /// --dilation N / --depth-multiplier N: default workload transforms for
-  /// requests without the matching key. Validated >= 1 at parse time
-  /// (default 1).
-  int dilation = 1;
-  int depth_multiplier = 1;
+  /// --backend / --batch / --dilation / --depth-multiplier: the design
+  /// point requests start from when their line carries no matching key
+  /// (parse_design_flag; validated at parse time).
+  core::DesignPoint defaults;
   /// --ordered: refuse `mode unordered` switches, locking every session
   /// to the byte-exact ordered reply protocol (the verified reference).
   bool ordered = false;

@@ -58,11 +58,8 @@ std::shared_ptr<const WorkloadCatalog::Workload> synthesize_workload(
 std::tuple<std::string, std::uint64_t, int, int> catalog_key(
     const std::string& network, std::uint64_t seed, int dilation,
     int depth_multiplier) {
-  EDEA_REQUIRE(dilation >= 1, "workload dilation must be >= 1, got " +
-                                  std::to_string(dilation));
-  EDEA_REQUIRE(depth_multiplier >= 1,
-               "workload depth multiplier must be >= 1, got " +
-                   std::to_string(depth_multiplier));
+  core::DesignPoint{.dilation = dilation, .depth_multiplier = depth_multiplier}
+      .validate("workload", network);
   return {network, seed, dilation, depth_multiplier};
 }
 
@@ -231,19 +228,7 @@ void WorkloadCatalog::evict_unpinned() {
 Session::Session(SimulationService& service, WorkloadCatalog& catalog,
                  SessionOptions options)
     : service_(service), catalog_(catalog), options_(std::move(options)) {
-  EDEA_REQUIRE(core::backend_known(options_.backend),
-               "session default backend '" + options_.backend +
-                   "' is not registered (known: " +
-                   core::known_backends_string() + ")");
-  EDEA_REQUIRE(options_.batch >= 1,
-               "session default batch must be >= 1, got " +
-                   std::to_string(options_.batch));
-  EDEA_REQUIRE(options_.dilation >= 1,
-               "session default dilation must be >= 1, got " +
-                   std::to_string(options_.dilation));
-  EDEA_REQUIRE(options_.depth_multiplier >= 1,
-               "session default depth multiplier must be >= 1, got " +
-                   std::to_string(options_.depth_multiplier));
+  options_.defaults.validate("session defaults");
   EDEA_REQUIRE(options_.busy_retry_ms >= 1,
                "session busy_retry_ms must be >= 1, got " +
                    std::to_string(options_.busy_retry_ms));
@@ -337,9 +322,7 @@ SessionStats Session::serve(Stream& stream) {
 
   std::string raw;
   while (stream.read_line(raw)) {
-    ParsedLine parsed =
-        parse_request_line(raw, options_.backend, options_.batch,
-                           options_.dilation, options_.depth_multiplier);
+    ParsedLine parsed = parse_request_line(raw, options_.defaults);
     if (parsed.kind == ParsedLine::Kind::kEmpty) continue;
 
     // Frame bookkeeping happens before the line is answered: control
@@ -431,12 +414,8 @@ SessionStats Session::serve(Stream& stream) {
               catalog_.acquire(request.network, request.seed,
                                request.dilation, request.depth_multiplier);
           core::SweepJob job;
+          job.point() = request;
           job.name = request.job_name();
-          job.config = request.config;
-          job.backend = request.backend;
-          job.batch = request.batch;
-          job.dilation = request.dilation;
-          job.depth_multiplier = request.depth_multiplier;
           job.layers = &workload->layers;
           job.input = &workload->input;
           job.fingerprint = workload->fingerprint;
@@ -517,12 +496,8 @@ SessionStats Session::serve(Stream& stream) {
           // error outcome line in this request's slot. Not recorded as
           // traffic - there is no job a verifier could replay.
           core::SweepOutcome unresolved;
+          unresolved.point() = request;
           unresolved.name = request.job_name();
-          unresolved.config = request.config;
-          unresolved.backend = request.backend;
-          unresolved.batch = request.batch;
-          unresolved.dilation = request.dilation;
-          unresolved.depth_multiplier = request.depth_multiplier;
           unresolved.error = e.what();
           std::string line = format_outcome_line(unresolved);
           if (framed_unordered) line = format_unordered_line(id, line);

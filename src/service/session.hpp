@@ -153,23 +153,11 @@ struct SessionOptions {
   /// a serial SweepRunner.
   bool record_traffic = false;
 
-  /// Backend id `run` requests resolve to when the line carries no
-  /// backend= key (the server's --backend flag). Must name a registered
-  /// backend - validated at Session construction, because a wrong server
-  /// default is an operator error, not a client's protocol error.
-  std::string backend = std::string(core::kDefaultBackendId);
-
-  /// Batch size `run` requests resolve to when the line carries no
-  /// batch= key (the server's --batch flag). Must be >= 1 - validated at
-  /// Session construction for the same operator-vs-client reason.
-  int batch = 1;
-
-  /// Workload transforms `run` requests resolve to when the line carries
-  /// no dilation= / depth_multiplier= key (the server's --dilation /
-  /// --depth-multiplier flags). Must be >= 1 - validated at Session
-  /// construction.
-  int dilation = 1;
-  int depth_multiplier = 1;
+  /// The design point `run` requests start from before their key=value
+  /// overrides (the server's --backend / --batch / --dilation /
+  /// --depth-multiplier flags). Validated at Session construction: a wrong
+  /// server default is an operator error, not a client's protocol error.
+  core::DesignPoint defaults;
 
   /// Whether a client's `mode unordered` request is honored. False (the
   /// server's --ordered flag) locks the session to ordered replies: the

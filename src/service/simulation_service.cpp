@@ -1,7 +1,6 @@
 #include "service/simulation_service.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -35,28 +34,54 @@ constexpr std::uint64_t kCacheMagic = 0x0053414341454445ull;
 // its fingerprints were computed over.
 constexpr std::uint32_t kCacheVersion = 4;
 
-/// Summary-level view of a cached outcome: everything the wire protocol
-/// reports (verdict, error text, summary, config echo) and none of the
+/// A cache-served outcome at summary level: everything the wire protocol
+/// reports (verdict, error text, summary, point echo) and none of the
 /// per-layer result payload. Streaming hits deliver this instead of a
 /// deep copy of the cached outcome - the full result drags hundreds of
 /// kilobytes of activation tensors per request through the allocator,
 /// and it dominated the cache-hit serving path that pipelined sessions
 /// are bounded by.
-core::SweepOutcome summary_view(const core::SweepOutcome& full,
-                                std::string name) {
+core::SweepOutcome summary_hit(const core::DesignPoint& point,
+                               std::string name, bool ok, std::string error,
+                               const core::RunSummary& summary) {
   core::SweepOutcome out;
+  out.point() = point;
   out.name = std::move(name);
-  out.config = full.config;
-  out.backend = full.backend;
-  out.batch = full.batch;
-  out.dilation = full.dilation;
-  out.depth_multiplier = full.depth_multiplier;
-  out.ok = full.ok;
-  out.error = full.error;
-  out.summary = full.summary;
+  out.ok = ok;
+  out.error = std::move(error);
+  out.summary = summary;
   out.cache_hit = true;
   out.summary_only = true;
   return out;
+}
+
+core::SweepOutcome summary_view(const core::SweepOutcome& full,
+                                std::string name) {
+  return summary_hit(full, std::move(name), full.ok, full.error,
+                     full.summary);
+}
+
+/// The ok=false outcome a callback waiter hears when its simulation could
+/// not be launched, run, or delivered: the wire has no exception channel,
+/// only error lines.
+core::SweepOutcome failed_outcome(const core::DesignPoint& point,
+                                  std::string name, std::string error) {
+  core::SweepOutcome out;
+  out.point() = point;
+  out.name = std::move(name);
+  out.error = std::move(error);
+  return out;
+}
+
+/// The text of an exception_ptr, for failed_outcome.
+std::string error_text(const std::exception_ptr& error) {
+  try {
+    std::rethrow_exception(error);
+  } catch (const std::exception& e) {
+    return e.what();
+  } catch (...) {
+    return "unknown simulation failure";
+  }
 }
 
 }  // namespace
@@ -97,33 +122,12 @@ std::uint64_t SimulationService::new_session_id() {
   return next_session_id_.fetch_add(1, std::memory_order_relaxed);
 }
 
-void SimulationService::validate_job(core::SweepJob& job) {
+void SimulationService::validate_job(const core::SweepJob& job) {
   EDEA_REQUIRE(job.layers != nullptr && job.input != nullptr,
                "service request '" + job.name + "' must reference a network");
-  // A NaN in the key would make it unequal to itself and strand the cache
-  // entry (NaN != NaN); reject at the boundary instead.
-  EDEA_REQUIRE(std::isfinite(job.config.clock_ghz),
-               "service request '" + job.name + "' has a non-finite clock");
-  // Resolve the backend up front: the cache key must use the id the
-  // simulation will actually run on, and an unknown id must fail the
-  // submitter here, not surface later as a broken future from the pool.
-  if (job.backend.empty()) job.backend = std::string(core::kDefaultBackendId);
-  EDEA_REQUIRE(core::backend_known(job.backend),
-               "service request '" + job.name + "' names unknown backend '" +
-                   job.backend +
-                   "' (known: " + core::known_backends_string() + ")");
-  EDEA_REQUIRE(job.batch >= 1,
-               "service request '" + job.name +
-                   "' must run a positive batch, got " +
-                   std::to_string(job.batch));
-  EDEA_REQUIRE(job.dilation >= 1,
-               "service request '" + job.name +
-                   "' must have dilation >= 1, got " +
-                   std::to_string(job.dilation));
-  EDEA_REQUIRE(job.depth_multiplier >= 1,
-               "service request '" + job.name +
-                   "' must have depth_multiplier >= 1, got " +
-                   std::to_string(job.depth_multiplier));
+  // Up front: an invalid point must fail the submitter here, not surface
+  // later as a broken future from the pool.
+  job.validate("service request", job.name);
 }
 
 void SimulationService::deliver(Waiter& w, core::SweepOutcome outcome) {
@@ -218,22 +222,10 @@ void SimulationService::runner_loop() {
                 core::evaluate_job(item.job, options_.tile_parallelism));
       } catch (...) {
         if (item.direct.callback) {
-          core::SweepOutcome failed;
-          failed.name = item.job.name;
-          failed.config = item.key.config;
-          failed.backend = item.key.backend;
-          failed.batch = item.key.batch;
-          failed.dilation = item.key.dilation;
-          failed.depth_multiplier = item.key.depth_multiplier;
           try {
-            std::rethrow_exception(std::current_exception());
-          } catch (const std::exception& e) {
-            failed.error = e.what();
-          } catch (...) {
-            failed.error = "unknown simulation failure";
-          }
-          try {
-            item.direct.callback(std::move(failed));
+            item.direct.callback(failed_outcome(
+                item.key.point, item.job.name,
+                error_text(std::current_exception())));
           } catch (...) {
             // Callbacks must not throw; nothing more can be done here.
           }
@@ -262,11 +254,7 @@ std::future<core::SweepOutcome> SimulationService::submit(core::SweepJob job) {
   const Key key{job.fingerprint != 0
                     ? job.fingerprint
                     : core::network_fingerprint(*job.layers, *job.input),
-                job.config,
-                job.backend,
-                job.batch,
-                job.dilation,
-                job.depth_multiplier};
+                job};
 
   std::promise<core::SweepOutcome> promise;
   std::future<core::SweepOutcome> future = promise.get_future();
@@ -335,19 +323,9 @@ std::future<core::SweepOutcome> SimulationService::submit(core::SweepJob job) {
   }
 
   if (persisted_hit) {
-    core::SweepOutcome out;
-    out.name = std::move(job.name);
-    out.config = job.config;
-    out.backend = key.backend;
-    out.batch = key.batch;
-    out.dilation = key.dilation;
-    out.depth_multiplier = key.depth_multiplier;
-    out.ok = persisted.ok;
-    out.error = std::move(persisted.error);
-    out.summary = persisted.summary;
-    out.cache_hit = true;
-    out.summary_only = true;
-    promise.set_value(std::move(out));
+    promise.set_value(summary_hit(key.point, std::move(job.name),
+                                  persisted.ok, std::move(persisted.error),
+                                  persisted.summary));
     return future;
   }
 
@@ -393,11 +371,7 @@ Admission SimulationService::submit_streaming(core::SweepJob job,
   const Key key{job.fingerprint != 0
                     ? job.fingerprint
                     : core::network_fingerprint(*job.layers, *job.input),
-                job.config,
-                job.backend,
-                job.batch,
-                job.dilation,
-                job.depth_multiplier};
+                job};
   const bool bounded = options_.max_queue > 0;
 
   if (options_.cache_capacity == 0) {
@@ -433,16 +407,8 @@ Admission SimulationService::submit_streaming(core::SweepJob job,
       if (bounded) --admitted_;
       if (in_flight_ == 0 && active_runners_ == 0) idle_cv_.notify_all();
       lock.unlock();
-      core::SweepOutcome failed;
-      failed.name = name;
-      failed.config = key.config;
-      failed.backend = key.backend;
-      failed.batch = key.batch;
-      failed.dilation = key.dilation;
-      failed.depth_multiplier = key.depth_multiplier;
-      failed.error = "simulation launch failed";
       try {
-        done(std::move(failed));
+        done(failed_outcome(key.point, name, "simulation launch failed"));
       } catch (...) {
         // Callbacks are documented non-throwing.
       }
@@ -519,19 +485,8 @@ Admission SimulationService::submit_streaming(core::SweepJob job,
   }
 
   if (persisted_hit) {
-    core::SweepOutcome out;
-    out.name = std::move(hit_name);
-    out.config = key.config;
-    out.backend = key.backend;
-    out.batch = key.batch;
-    out.dilation = key.dilation;
-    out.depth_multiplier = key.depth_multiplier;
-    out.ok = persisted.ok;
-    out.error = std::move(persisted.error);
-    out.summary = persisted.summary;
-    out.cache_hit = true;
-    out.summary_only = true;
-    done(std::move(out));
+    done(summary_hit(key.point, std::move(hit_name), persisted.ok,
+                     std::move(persisted.error), persisted.summary));
     return Admission::kAdmitted;
   }
 
@@ -597,15 +552,8 @@ void SimulationService::complete(const Key& key, core::SweepOutcome outcome) {
         // A callback waiter must still hear *something* or its reply slot
         // hangs forever; a summary-free error outcome is the best effort.
         try {
-          core::SweepOutcome failed;
-          failed.name = std::move(w.name);
-          failed.config = key.config;
-          failed.backend = key.backend;
-          failed.batch = key.batch;
-          failed.dilation = key.dilation;
-          failed.depth_multiplier = key.depth_multiplier;
-          failed.error = "result delivery failed";
-          w.callback(std::move(failed));
+          w.callback(failed_outcome(key.point, std::move(w.name),
+                                    "result delivery failed"));
         } catch (...) {
           // Out of options - callbacks are documented non-throwing.
         }
@@ -628,27 +576,11 @@ void SimulationService::abandon(const Key& key, std::exception_ptr error) {
     --in_flight_;
     if (in_flight_ == 0 && active_runners_ == 0) idle_cv_.notify_all();
   }
-  std::string message = "unknown simulation failure";
-  try {
-    std::rethrow_exception(error);
-  } catch (const std::exception& e) {
-    message = e.what();
-  } catch (...) {
-  }
+  const std::string message = error_text(error);
   for (Waiter& w : waiters) {
     if (w.callback) {
-      // Callback waiters hear failures as ok=false outcomes - the wire
-      // has no exception channel, only error lines.
-      core::SweepOutcome failed;
-      failed.name = std::move(w.name);
-      failed.config = key.config;
-      failed.backend = key.backend;
-      failed.batch = key.batch;
-      failed.dilation = key.dilation;
-      failed.depth_multiplier = key.depth_multiplier;
-      failed.error = message;
       try {
-        w.callback(std::move(failed));
+        w.callback(failed_outcome(key.point, std::move(w.name), message));
       } catch (...) {
         // Callbacks are documented non-throwing.
       }
@@ -685,36 +617,14 @@ std::size_t SimulationService::save_cache(const std::string& path) const {
               if (a.first.fingerprint != b.first.fingerprint) {
                 return a.first.fingerprint < b.first.fingerprint;
               }
-              if (a.first.config.hash() != b.first.config.hash()) {
-                return a.first.config.hash() < b.first.config.hash();
-              }
-              if (a.first.backend != b.first.backend) {
-                return a.first.backend < b.first.backend;
-              }
-              if (a.first.batch != b.first.batch) {
-                return a.first.batch < b.first.batch;
-              }
-              if (a.first.dilation != b.first.dilation) {
-                return a.first.dilation < b.first.dilation;
-              }
-              return a.first.depth_multiplier < b.first.depth_multiplier;
+              return a.first.point.sorts_before(b.first.point);
             });
 
   util::ByteWriter w;
   w.pod(kCacheMagic);
   w.pod(kCacheVersion);
   w.pod(static_cast<std::uint64_t>(entries.size()));
-  for (const auto& [key, result] : entries) {
-    w.pod(key.fingerprint);
-    key.config.encode(w);
-    w.str(key.backend);
-    w.pod(static_cast<std::int32_t>(key.batch));
-    w.pod(static_cast<std::int32_t>(key.dilation));
-    w.pod(static_cast<std::int32_t>(key.depth_multiplier));
-    w.pod(static_cast<std::uint8_t>(result.ok ? 1 : 0));
-    w.str(result.error);
-    result.summary.encode(w);
-  }
+  for (const auto& [key, result] : entries) encode_entry(w, key, result);
   const std::uint64_t digest =
       util::Fnv1a64().bytes(w.buffer().data(), w.buffer().size()).digest();
 
@@ -771,6 +681,13 @@ std::size_t SimulationService::load_cache(const std::string& path) {
                "cache file '" + path + "' has unsupported version " +
                    std::to_string(version));
   const auto count = r.pod<std::uint64_t>();
+  // FNV is not a MAC: a crafted header can claim any count under a valid
+  // digest. Bound it by what the payload can hold before reserving.
+  util::ByteWriter smallest;
+  encode_entry(smallest, Key{}, PersistedResult{});
+  EDEA_REQUIRE(count <= r.remaining() / smallest.buffer().size(),
+               "cache file '" + path + "' claims " + std::to_string(count) +
+                   " entries, more than its payload can hold");
 
   // Decode fully before touching service state, so a malformed tail can
   // never leave a half-loaded cache behind.
@@ -779,27 +696,7 @@ std::size_t SimulationService::load_cache(const std::string& path) {
   for (std::uint64_t i = 0; i < count; ++i) {
     Key key;
     key.fingerprint = r.pod<std::uint64_t>();
-    key.config = core::EdeaConfig::decode(r);
-    key.backend = r.str();
-    EDEA_REQUIRE(core::backend_known(key.backend),
-                 "cache file '" + path + "' names unknown backend '" +
-                     key.backend +
-                     "' (known: " + core::known_backends_string() +
-                     ") - entries could never be served");
-    key.batch = static_cast<int>(r.pod<std::int32_t>());
-    EDEA_REQUIRE(key.batch >= 1,
-                 "cache file '" + path + "' has an entry with batch " +
-                     std::to_string(key.batch) + " (must be >= 1)");
-    key.dilation = static_cast<int>(r.pod<std::int32_t>());
-    EDEA_REQUIRE(key.dilation >= 1,
-                 "cache file '" + path + "' has an entry with dilation " +
-                     std::to_string(key.dilation) + " (must be >= 1)");
-    key.depth_multiplier = static_cast<int>(r.pod<std::int32_t>());
-    EDEA_REQUIRE(key.depth_multiplier >= 1,
-                 "cache file '" + path +
-                     "' has an entry with depth_multiplier " +
-                     std::to_string(key.depth_multiplier) +
-                     " (must be >= 1)");
+    key.point = core::DesignPoint::decode(r, "cache file", path);
     PersistedResult result;
     result.ok = r.pod<std::uint8_t>() != 0;
     result.error = r.str();
@@ -819,6 +716,15 @@ std::size_t SimulationService::load_cache(const std::string& path) {
     }
   }
   return loaded;
+}
+
+void SimulationService::encode_entry(util::ByteWriter& w, const Key& key,
+                                     const PersistedResult& result) {
+  w.pod(key.fingerprint);
+  key.point.encode(w);
+  w.pod(static_cast<std::uint8_t>(result.ok ? 1 : 0));
+  w.str(result.error);
+  result.summary.encode(w);
 }
 
 std::vector<std::future<core::SweepOutcome>> SimulationService::submit_batch(

@@ -5,13 +5,11 @@
 // is an independent (network, accelerator config, backend) simulation.
 // The service accepts such requests asynchronously, runs them on a
 // util::ThreadPool, and memoizes completed results in a bounded LRU cache
-// keyed by (network fingerprint, EdeaConfig, backend id, batch) - in DSE
-// refinement the same points are revisited constantly, and a revisit
-// should cost a hash lookup, not a simulation. The backend id is part of
-// the key because the same workload and configuration on different
-// dataflows are different experiments (different cycles and traffic, see
-// core/backend.hpp); batch is part of it because a batched run plans a
-// different arena (different peak_arena_bytes in the summary).
+// keyed by (network fingerprint, core::DesignPoint) - in DSE refinement
+// the same points are revisited constantly, and a revisit should cost a
+// hash lookup, not a simulation. Every dimension of the point is part of
+// the key: a different dataflow, batch (arena plan), transform or clock
+// is a different experiment.
 //
 // Concurrency contract:
 //   - submit()/submit_batch()/serve()/cache_stats() are thread-safe; many
@@ -193,19 +191,18 @@ class SimulationService {
 
   // --- cache persistence (survives service restarts) -----------------------
   //
-  // A cache file stores (network fingerprint, EdeaConfig, backend id,
-  // batch, dilation, depth multiplier) -> outcome *summaries* -
-  // everything the line protocol reports (ok/error text plus the
-  // RunSummary), not per-layer tensors - in a versioned, checksummed
-  // binary format (util/binary.hpp + util/hash.hpp). The format is at
-  // version 4 (version 1 predates backend-keyed entries, version 2
-  // predates batch-keyed entries and the summary's peak_arena_bytes
-  // field, version 3 predates the dilation/depth-multiplier key fields);
-  // files of any other version are rejected loudly, never migrated - a
-  // v1 file cannot say which dataflow produced its summaries, a v2 file
-  // can neither say which batch nor decode into today's wider RunSummary,
-  // and a v3 file cannot say which workload transform its fingerprints
-  // were computed over. A request
+  // A cache file stores (network fingerprint, DesignPoint) -> outcome
+  // *summaries* - everything the line protocol reports (ok/error text
+  // plus the RunSummary), not per-layer tensors - in a versioned,
+  // checksummed binary format (util/binary.hpp + util/hash.hpp). The
+  // format is at version 4 (version 1 predates backend-keyed entries,
+  // version 2 predates batch-keyed entries and the summary's
+  // peak_arena_bytes field, version 3 predates the dilation/depth-
+  // multiplier key fields); files of any other version are rejected
+  // loudly, never migrated - a v1 file cannot say which dataflow produced
+  // its summaries, a v2 file can neither say which batch nor decode into
+  // today's wider RunSummary, and a v3 file cannot say which workload
+  // transform its fingerprints were computed over. A request
   // that hits a persisted entry resolves immediately with a summary-only
   // outcome (SweepOutcome::summary_only) that formats bit-identically to
   // the line the original simulation produced, and is accounted as a
@@ -223,36 +220,30 @@ class SimulationService {
   /// Loads a cache file previously written by save_cache. Returns the
   /// number of entries loaded; a missing file is not an error (a first
   /// start has no cache) and returns 0. A malformed file - bad magic,
-  /// version mismatch, truncation, checksum failure, trailing garbage -
-  /// throws PreconditionError and leaves the cache unchanged. Keys already
-  /// resident stay resident (the live entry wins). No-op when
-  /// cache_capacity is 0 (memoization disabled disables persistence too).
+  /// version mismatch, truncation, checksum failure, trailing garbage, an
+  /// entry count the payload cannot hold, an entry DesignPoint::decode
+  /// rejects - throws PreconditionError and leaves the cache unchanged.
+  /// Keys already resident stay resident (the live entry wins). No-op
+  /// when cache_capacity is 0 (memoization disabled disables persistence
+  /// too).
   std::size_t load_cache(const std::string& path);
 
  private:
-  /// Cache key: the workload fingerprint plus the exact configuration
-  /// plus the backend id plus the batch size plus the workload-transform
-  /// knobs (dilation, depth multiplier). The fingerprint is a content
-  /// hash (collisions possible in principle) that already reflects the
-  /// transformed layer specs; the other fields are compared exactly, and
-  /// the map's equality uses all of them - a collision across different
-  /// configs, dataflows, batch sizes, or transforms can never alias.
+  /// Cache key: the workload fingerprint plus the design point. The
+  /// fingerprint is a content hash (collisions possible in principle) that
+  /// already reflects the transformed layer specs; the point is compared
+  /// exactly, so a collision across different configs, dataflows, batch
+  /// sizes, or transforms can never alias.
   struct Key {
     std::uint64_t fingerprint = 0;
-    core::EdeaConfig config;
-    std::string backend;
-    int batch = 1;
-    int dilation = 1;
-    int depth_multiplier = 1;
+    core::DesignPoint point;
 
     friend bool operator==(const Key&, const Key&) = default;
   };
   struct KeyHash {
     std::size_t operator()(const Key& k) const noexcept {
-      util::Fnv1a64 h;
-      h.pod(k.fingerprint).pod(k.config.hash()).str(k.backend).pod(k.batch);
-      h.pod(k.dilation).pod(k.depth_multiplier);
-      return static_cast<std::size_t>(h.digest());
+      return static_cast<std::size_t>(
+          util::Fnv1a64().pod(k.fingerprint).pod(k.point.hash()).digest());
     }
   };
 
@@ -283,6 +274,11 @@ class SimulationService {
     core::RunSummary summary;
   };
 
+  /// One entry of a cache file: the fingerprint, the point, the verdict,
+  /// the error text, and the summary. The v4 record is positional.
+  static void encode_entry(util::ByteWriter& w, const Key& key,
+                           const PersistedResult& result);
+
   /// One admitted fresh simulation waiting in (or picked from) the fair
   /// queue. `use_cache` is false only on the cache_capacity == 0 path,
   /// where there is no Entry to complete - the runner delivers straight
@@ -295,9 +291,9 @@ class SimulationService {
     bool admission_counted = false;
   };
 
-  /// Validates a submission's invariants (network present, finite clock,
-  /// known backend, positive counts) and resolves the default backend.
-  static void validate_job(core::SweepJob& job);
+  /// Validates a submission's invariants: a network, and a point
+  /// DesignPoint::validate accepts.
+  static void validate_job(const core::SweepJob& job);
 
   /// Marks `key` complete, stores the outcome, applies LRU eviction, and
   /// fulfills every waiter. Runs on the pool at the end of each task.

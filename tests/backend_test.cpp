@@ -106,7 +106,7 @@ TEST(BackendRegistryTest, UnknownIdThrowsNamingTheVocabulary) {
 
 // --- sweep plumbing ---------------------------------------------------------
 
-TEST(BackendSweepTest, EvaluateJobResolvesEmptyBackendToDefault) {
+TEST(BackendSweepTest, EvaluateJobDefaultsToTheEdeaBackend) {
   const auto specs = nn::zoo_specs("edeanet-64");
   const auto layers = nn::make_random_quant_network(specs, 21);
   const nn::Int8Tensor input = random_input(specs.front(), 22);
@@ -129,40 +129,38 @@ TEST(BackendSweepTest, UnknownJobBackendIsAPreconditionError) {
   job.layers = &layers;
   job.input = &input;
   EXPECT_THROW((void)evaluate_job(job), PreconditionError);
-
-  SweepOptions options;
-  options.backend = "serializd";
-  EXPECT_THROW(options.validate(), PreconditionError);
-  EXPECT_THROW((void)SweepRunner{options}, PreconditionError);
+  // Empty is not "the caller's default" either: every point names its
+  // backend, and DesignPoint defaults it to edea.
+  job.backend.clear();
+  EXPECT_THROW((void)evaluate_job(job), PreconditionError);
 }
 
-TEST(BackendSweepTest, RunnerDefaultBackendAppliesOnlyToUnsetJobs) {
+TEST(BackendSweepTest, OneSweepMixesBackendsPerJob) {
   const auto specs = nn::zoo_specs("edeanet-64");
   const auto layers = nn::make_random_quant_network(specs, 31);
   const nn::Int8Tensor input = random_input(specs.front(), 32);
 
-  SweepJob unset;
-  unset.name = "unset";
-  unset.layers = &layers;
-  unset.input = &input;
-  SweepJob pinned = unset;
-  pinned.name = "pinned";
-  pinned.backend = "edea";
+  SweepJob fast;
+  fast.name = "fast";
+  fast.layers = &layers;
+  fast.input = &input;
+  SweepJob slow = fast;
+  slow.name = "slow";
+  slow.backend = "serialized";
 
   SweepOptions options;
   options.parallelism = 1;
-  options.backend = "serialized";
   const std::vector<SweepOutcome> outcomes =
-      SweepRunner(options).run({unset, pinned});
+      SweepRunner(options).run({fast, slow});
   ASSERT_EQ(outcomes.size(), 2u);
-  EXPECT_EQ(outcomes[0].backend, "serialized");
-  EXPECT_EQ(outcomes[1].backend, "edea");
+  EXPECT_EQ(outcomes[0].backend, "edea");
+  EXPECT_EQ(outcomes[1].backend, "serialized");
   // Both simulated the same workload: identical outputs, divergent cycles.
   ASSERT_TRUE(outcomes[0].ok) << outcomes[0].error;
   ASSERT_TRUE(outcomes[1].ok) << outcomes[1].error;
   EXPECT_EQ(outcomes[0].summary.output_hash, outcomes[1].summary.output_hash);
-  EXPECT_GT(outcomes[0].summary.total_cycles,
-            outcomes[1].summary.total_cycles);
+  EXPECT_GT(outcomes[1].summary.total_cycles,
+            outcomes[0].summary.total_cycles);
 }
 
 TEST(BackendContractTest, SerializedBackendValidatesTileParallelism) {

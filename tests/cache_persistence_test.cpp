@@ -319,6 +319,36 @@ TEST(CachePersistenceTest, ChecksumValidEntriesWithBadDimensionsAreRejected) {
   std::remove(path.c_str());
 }
 
+TEST(CachePersistenceTest, EntryCountBeyondPayloadIsRejected) {
+  // A header may claim any count: FNV is not a MAC, so a crafted file
+  // carries a valid digest. The count must be checked against what the
+  // payload can hold before anything is reserved for it.
+  const std::string path = temp_cache_path("huge_count");
+  util::ByteWriter w;
+  w.pod(std::uint64_t{0x0053414341454445ull});  // "EDEACAS\0" magic
+  w.pod(std::uint32_t{4});                      // version
+  w.pod(std::uint64_t{1} << 40);                // entry count, no entries
+  const std::uint64_t digest =
+      util::Fnv1a64().bytes(w.buffer().data(), w.buffer().size()).digest();
+  std::string bytes(w.buffer().data(), w.buffer().size());
+  bytes.append(reinterpret_cast<const char*>(&digest), sizeof(digest));
+  ASSERT_EQ(bytes.size(), 28u);
+  write_file(path, bytes);
+
+  Fixture fx;
+  SimulationService svc;
+  ASSERT_TRUE(svc.submit(fx.job("live")).get().ok);
+  try {
+    (void)svc.load_cache(path);
+    FAIL() << "a count the payload cannot hold must be rejected";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(svc.cache_stats().entries, 1u);
+  std::remove(path.c_str());
+}
+
 TEST(CachePersistenceTest, MissingFileIsAFreshStartNotAnError) {
   SimulationService svc;
   EXPECT_EQ(svc.load_cache(temp_cache_path("does_not_exist")), 0u);

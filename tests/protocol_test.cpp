@@ -106,18 +106,18 @@ TEST(ProtocolParseTest, BatchKeyParsesStrictly) {
 
 TEST(ProtocolParseTest, CallerDefaultBatchAppliesWhenLineNamesNone) {
   // The server's --batch: requests without batch= resolve to it ...
-  const ParsedLine def = parse_request_line("run edeanet-64", "edea", 4);
+  const ParsedLine def = parse_request_line("run edeanet-64", {.batch = 4});
   ASSERT_EQ(def.kind, ParsedLine::Kind::kRun);
   EXPECT_EQ(def.request.batch, 4);
   // ... and an explicit key still wins.
   const ParsedLine exp =
-      parse_request_line("run edeanet-64 batch=2", "edea", 4);
+      parse_request_line("run edeanet-64 batch=2", {.batch = 4});
   ASSERT_EQ(exp.kind, ParsedLine::Kind::kRun);
   EXPECT_EQ(exp.request.batch, 2);
   // A non-positive *default* is caller configuration gone wrong.
-  EXPECT_THROW((void)parse_request_line("run edeanet-64", "edea", 0),
+  EXPECT_THROW((void)parse_request_line("run edeanet-64", {.batch = 0}),
                PreconditionError);
-  EXPECT_THROW((void)parse_request_line("run edeanet-64", "edea", -3),
+  EXPECT_THROW((void)parse_request_line("run edeanet-64", {.batch = -3}),
                PreconditionError);
 }
 
@@ -186,21 +186,24 @@ TEST(ProtocolParseTest, DilationAndDepthMultiplierKeysParseStrictly) {
 TEST(ProtocolParseTest, CallerDefaultTransformsApplyWhenLineNamesNone) {
   // The server's --dilation / --depth-multiplier: requests without the
   // keys resolve to the caller defaults ...
-  const ParsedLine def = parse_request_line("run edeanet-64", "edea", 1, 2, 3);
+  const ParsedLine def = parse_request_line(
+      "run edeanet-64", {.dilation = 2, .depth_multiplier = 3});
   ASSERT_EQ(def.kind, ParsedLine::Kind::kRun);
   EXPECT_EQ(def.request.dilation, 2);
   EXPECT_EQ(def.request.depth_multiplier, 3);
   // ... and explicit keys still win.
-  const ParsedLine exp = parse_request_line(
-      "run edeanet-64 dilation=4 depth_multiplier=1", "edea", 1, 2, 3);
+  const ParsedLine exp =
+      parse_request_line("run edeanet-64 dilation=4 depth_multiplier=1",
+                         {.dilation = 2, .depth_multiplier = 3});
   ASSERT_EQ(exp.kind, ParsedLine::Kind::kRun);
   EXPECT_EQ(exp.request.dilation, 4);
   EXPECT_EQ(exp.request.depth_multiplier, 1);
   // Non-positive *defaults* are caller configuration gone wrong.
-  EXPECT_THROW((void)parse_request_line("run edeanet-64", "edea", 1, 0, 1),
+  EXPECT_THROW((void)parse_request_line("run edeanet-64", {.dilation = 0}),
                PreconditionError);
-  EXPECT_THROW((void)parse_request_line("run edeanet-64", "edea", 1, 1, -2),
-               PreconditionError);
+  EXPECT_THROW(
+      (void)parse_request_line("run edeanet-64", {.depth_multiplier = -2}),
+      PreconditionError);
 }
 
 TEST(ProtocolFormatTest, OutcomeLinesEchoTransformsOnlyWhenTransformed) {
@@ -418,17 +421,20 @@ TEST(ProtocolParseTest, BackendKeyResolvesAgainstTheRegistry) {
 
 TEST(ProtocolParseTest, CallerDefaultBackendAppliesWhenLineNamesNone) {
   // The server's --backend: requests without backend= resolve to it ...
-  const ParsedLine def = parse_request_line("run edeanet-64", "serialized");
+  const ParsedLine def = parse_request_line("run edeanet-64",
+                                              {.backend = "serialized"});
   ASSERT_EQ(def.kind, ParsedLine::Kind::kRun);
   EXPECT_EQ(def.request.backend, "serialized");
   // ... and an explicit key still wins.
   const ParsedLine exp =
-      parse_request_line("run edeanet-64 backend=edea", "serialized");
+      parse_request_line("run edeanet-64 backend=edea",
+                         {.backend = "serialized"});
   ASSERT_EQ(exp.kind, ParsedLine::Kind::kRun);
   EXPECT_EQ(exp.request.backend, "edea");
   // An unregistered *default* is caller configuration gone wrong, not a
   // client's malformed line - precondition, not protocol error.
-  EXPECT_THROW((void)parse_request_line("run edeanet-64", "warp-drive"),
+  EXPECT_THROW((void)parse_request_line("run edeanet-64",
+                                        {.backend = "warp-drive"}),
                PreconditionError);
 }
 
