@@ -305,7 +305,10 @@ std::string format_outcome_line(const core::SweepOutcome& outcome) {
 bool parse_design_flag(int argc, const char* const* argv, int& i,
                        core::DesignPoint& defaults, std::string& error) {
   const std::string flag = argv[i];
-  if (flag.rfind("--", 0) != 0) return false;
+  // Flags spell the key's '_' as '-'; the key's own spelling is no flag.
+  if (flag.rfind("--", 0) != 0 || flag.find('_') != std::string::npos) {
+    return false;
+  }
   std::string key = flag.substr(2);
   std::replace(key.begin(), key.end(), '-', '_');
   const KeyRow* row = find_key(key);

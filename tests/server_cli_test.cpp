@@ -151,6 +151,9 @@ TEST(ServerCliTest, MalformedValuesAreRejectedWithAReason) {
            {"--busy-retry-ms", "5x"},        // trailing junk
            {"--busy-retry-ms"},              // missing value
            {"--wat"},                        // unknown flag
+           {"--depth_multiplier", "2"},      // the key's spelling, no flag
+           {"--seed", "3"},                  // a protocol key, no flag
+           {"--clock-ghz", "0.5"},           // likewise
        }) {
     SCOPED_TRACE(args.front());
     const ServerConfig config = parse(args);

@@ -58,12 +58,8 @@ core::SweepJob make_job(WorkloadCatalog& catalog, const std::string& line) {
       request.network, request.seed, request.dilation,
       request.depth_multiplier);
   core::SweepJob job;
+  job.point() = request;
   job.name = request.job_name();
-  job.config = request.config;
-  job.backend = request.backend;
-  job.batch = request.batch;
-  job.dilation = request.dilation;
-  job.depth_multiplier = request.depth_multiplier;
   job.layers = &workload.layers;
   job.input = &workload.input;
   job.fingerprint = workload.fingerprint;
